@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .linalg import DEFAULT_TOL, span_coefficients
 from .process import (
@@ -47,8 +44,19 @@ NOT_CATALYSIS = "not_catalysis"
 SEPARABLE_CUTOFF = 1e-9
 WITNESS_CUTOFF = 1e-6
 
-_SAMPLE_COUNT = 10_000
-_SAMPLE_SEED = 0
+# the A-factor scan: a Fibonacci lattice on the Bloch sphere (spacing about
+# 0.08 rad), then rounds of a local grid around the best point whose first
+# step, in the tangent plane of the spinor, spans about one lattice spacing
+_GRID_POINTS = 2048
+_REFINE_STEP = 0.04
+_REFINE_ROUNDS = 5
+_REFINE_SHRINK = 6.0
+_REFINE_OFFSETS = (
+    np.linspace(-1.0, 1.0, 9)[:, None] + 1j * np.linspace(-1.0, 1.0, 9)[None, :]
+).ravel()
+
+# alternating projections per start in the search for other dimensions
+_PROJECTION_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,20 +212,204 @@ def _stage_candidates_canonical(spec: ProcessSpec, tol: float) -> np.ndarray:
     return np.array(rows, dtype=np.complex128).reshape(-1, n)
 
 
-@lru_cache(maxsize=8)
-def _stage_candidates_sampled(n: int, count: int) -> np.ndarray:
-    # scrambled Halton points mapped through the normal quantile and
-    # normalized: a deterministic low-discrepancy cover of the unit sphere
-    sampler = qmc.Halton(d=2 * n, scramble=True, seed=_SAMPLE_SEED)
-    u = sampler.random(count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
-    coeffs = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(coeffs, axis=1)
-    norms[norms == 0.0] = 1.0
-    coeffs = coeffs / norms[:, None]
-    coeffs.setflags(write=False)
-    return coeffs
+def _spinor_grid(count: int) -> np.ndarray:
+    """Unit spinors of a Fibonacci lattice on the Bloch sphere, (count, 2)."""
+    k = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * k / count
+    phase = np.exp(1j * math.pi * (1.0 + math.sqrt(5.0)) * k)
+    return np.column_stack([np.sqrt((1.0 + z) / 2.0), phase * np.sqrt((1.0 - z) / 2.0)])
+
+
+_SPINOR_GRID = _spinor_grid(_GRID_POINTS)
+
+
+def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric bilinear form with _det_form(u, u) = 2(u0 u3 - u1 u2).
+
+    Along the last axis; |_det_form(u, u)| is the concurrence of a unit
+    two-qubit vector u.
+    """
+    return (
+        u[..., 0] * v[..., 3]
+        + u[..., 3] * v[..., 0]
+        - u[..., 1] * v[..., 2]
+        - u[..., 2] * v[..., 1]
+    )
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.maximum(np.sqrt(np.sum(np.abs(v) ** 2, axis=-1)), 1e-300)[..., None]
+
+
+def _image_scores(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
+    """Best output concurrence over the span of one or two images, per row.
+
+    The images are orthonormalized to the columns q_j of Q, so the best
+    concurrence is the top singular value of the complex-symmetric matrix
+    S_jl = _det_form(q_j, q_l).
+    """
+    q0 = _unit_rows(first)
+    s00 = _det_form(q0, q0)
+    if second is None:
+        return np.abs(s00)
+    q1 = _unit_rows(second - q0 * np.sum(q0.conj() * second, axis=-1)[..., None])
+    s01 = _det_form(q0, q1)
+    s11 = _det_form(q1, q1)
+    fro = np.abs(s00) ** 2 + 2.0 * np.abs(s01) ** 2 + np.abs(s11) ** 2
+    det = np.abs(s00 * s11 - s01 * s01)
+    return np.sqrt((fro + np.sqrt(np.maximum(fro * fro - 4.0 * det * det, 0.0))) / 2.0)
+
+
+def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Input v in the column span of ``basis`` whose image has maximal concurrence.
+
+    With image @ basis = QR, the best v is basis R^-1 z for the top Takagi
+    vector z of S_jl = _det_form(q_j, q_l).  Re(z^T S z) is the real
+    quadratic form [[Re S, -Im S], [-Im S, -Re S]] in (Re z, Im z), whose
+    top eigenvector gives z even when the top singular value of S is
+    degenerate.
+    """
+    q, r = np.linalg.qr(image @ basis)
+    s = _det_form(q.T[:, None, :], q.T[None, :, :])
+    k = s.shape[0]
+    top = np.linalg.eigh(np.block([[s.real, -s.imag], [-s.imag, -s.real]]))[1][:, -1]
+    return basis @ np.linalg.solve(r, top[:k] + 1j * top[k:])
+
+
+def _scan(score) -> np.ndarray:
+    """Spinor x maximizing ``score``: best grid point, then shrinking local grids.
+
+    Each round evaluates a 9x9 grid x + t x_perp in the tangent plane and
+    moves to its best point; the next round's grid spans a little more than
+    one cell of this one.
+    """
+    x = _SPINOR_GRID[int(np.argmax(score(_SPINOR_GRID)))]
+    step = _REFINE_STEP
+    for _ in range(_REFINE_ROUNDS):
+        perp = np.array([-x[1].conj(), x[0].conj()])
+        cand = x[None, :] + (step * _REFINE_OFFSETS)[:, None] * perp[None, :]
+        cand = _unit_rows(cand)
+        x = cand[int(np.argmax(score(cand)))]
+        step /= _REFINE_SHRINK
+    return x
+
+
+def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
+    """Best product inputs x (x) y of the span on two qubits, by rank of the span.
+
+    The admissible B factors y of an A factor x are the null space of
+    W^H (x (x) I), with W an orthonormal basis of the span's complement.
+
+    - rank 4: every y is admissible; x is scanned and the best y at each x
+      is the top Takagi vector of the output determinant form.
+    - rank 3, complement vector w entangled: y(x) is unique for every x,
+      and x is scanned.
+    - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
+      w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
+      lines are solved exactly.
+    - rank 2: the admissible x are the roots of the quadratic
+      det W^H (x (x) I) = 0, solved exactly; when it vanishes identically
+      the span is C^2 (x) y0 and is solved exactly.
+    - rank 1: the span's one ray.
+
+    On a line of product vectors (a two-dimensional subspace) the best
+    input is the top Takagi vector of the output determinant form.  Every
+    candidate is a product vector up to rounding; only the scans maximize
+    over a continuous family on a grid, to the grid's resolution.
+    """
+    u, sv, _ = np.linalg.svd(spec.input_matrix())
+    rank = int(np.sum(sv > SEPARABLE_CUTOFF * sv[0]))
+    if rank == 1:
+        return [u[:, 0]]
+    # span vector -> output: B A^+
+    image = spec.output_matrix() @ np.linalg.pinv(spec.input_matrix())
+    eye = np.eye(2)
+    if rank == 4:
+        # the images of x (x) |0> and x (x) |1>, as a linear map of x
+        columns = image.reshape(4, 2, 2).transpose(1, 0, 2).reshape(2, 8)
+
+        def score(xs):
+            out = (xs @ columns).reshape(len(xs), 4, 2)
+            return _image_scores(out[..., 0], out[..., 1])
+
+        x = _scan(score)
+        return [_best_in_span(image, np.kron(x[:, None], eye))]
+    if rank == 3:
+        wm = u[:, 3].reshape(2, 2)
+        lu, lsv, lvh = np.linalg.svd(wm)
+        if lsv[-1] <= SEPARABLE_CUTOFF:
+            # the complement vector is a product p (x) q: the product vectors
+            # of the span are the lines p_perp (x) C^2, where every y is
+            # admissible (the exceptional x), and C^2 (x) q_perp
+            return [
+                _best_in_span(image, np.kron(lu[:, 1:], eye)),
+                _best_in_span(image, np.kron(eye, lvh[1:].T)),
+            ]
+        # y(x) = x @ follow spans the null space of w^H (x (x) I) = x @ conj(wm)
+        follow = wm.conj() @ np.array([[0.0, -1.0], [1.0, 0.0]])
+        # image(x (x) y(x)) = sum_ac x_a x_c quad[:, a, c], by monomial
+        quad = image.reshape(4, 2, 2) @ follow.T
+        mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]])
+
+        def score(xs):
+            x0, x1 = xs[:, 0], xs[:, 1]
+            return _image_scores(np.column_stack([x0 * x0, x0 * x1, x1 * x1]) @ mono)
+
+        x = _scan(score)
+        return [np.kron(x, x @ follow)]
+    # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
+    r0, r1 = u[:, 2:].conj().T.reshape(2, 2, 2).transpose(1, 0, 2)
+    q0 = np.linalg.det(r0)
+    q2 = np.linalg.det(r1)
+    q1 = np.linalg.det(r0 + r1) - q0 - q2
+    if max(abs(q0), abs(q1), abs(q2)) <= SEPARABLE_CUTOFF:
+        y0 = np.linalg.svd(u[:, :2].T.reshape(4, 2))[2][0]
+        return [_best_in_span(image, np.kron(eye, y0[:, None]))]
+    # roots (w, q0) and (q2, w) of q0 s^2 + q1 s + q2, s = x0 / x1, stably
+    disc = np.sqrt(q1 * q1 - 4.0 * q0 * q2)
+    w = -(q1 + disc) / 2.0 if abs(q1 + disc) >= abs(q1 - disc) else -(q1 - disc) / 2.0
+    found = []
+    for root in (np.array([w, q0]), np.array([q2, w])):
+        length = np.linalg.norm(root)
+        if length == 0.0:
+            continue
+        x = root / length
+        # the root makes M(x) singular: keep at least its smallest direction
+        _, msv, mvh = np.linalg.svd(x[0] * r0 + x[1] * r1)
+        null = mvh[min(int(np.sum(msv > SEPARABLE_CUTOFF)), 1) :].conj().T
+        found.append(_best_in_span(image, np.kron(x[:, None], null)))
+    return found
+
+
+def _stage_candidates_projected(spec: ProcessSpec) -> np.ndarray:
+    """Product vectors of the span found by alternating projection (any dims).
+
+    Each computational-basis product vector |i>|j> is projected onto the
+    span and replaced by the best unit product approximation of the
+    projection, repeatedly.  Starts that settle on a product vector in the
+    span give candidates.  The search is not exhaustive: it finds at most
+    one product vector per start and does not maximize the output
+    entanglement.
+    """
+    da, db = spec.dim_a, spec.dim_b
+    u, sv, _ = np.linalg.svd(spec.input_matrix(), full_matrices=False)
+    span = u[:, sv > SEPARABLE_CUTOFF * sv[0]]
+    vecs = np.eye(da * db, dtype=np.complex128)
+    for _ in range(_PROJECTION_STEPS):
+        proj = (vecs @ span.conj()) @ span.T
+        lu, _, lvh = np.linalg.svd(proj.reshape(-1, da, db))
+        nxt = (lu[:, :, 0, None] * lvh[:, None, 0, :]).reshape(-1, da * db)
+        done = np.max(np.abs(nxt - vecs)) <= 1e-14
+        vecs = nxt
+        if done:
+            break
+    return vecs
+
+
+def _span_coefficient_rows(spec: ProcessSpec, inputs) -> np.ndarray:
+    """Rows c with sum_i c_i a_i the projection of each input onto the span."""
+    vecs = np.array(inputs, dtype=np.complex128).reshape(-1, spec.dim_a * spec.dim_b)
+    return vecs @ np.linalg.pinv(spec.input_matrix()).T
 
 
 def _best_witness(
@@ -259,16 +451,20 @@ def find_entangling_witness(
     spec: ProcessSpec,
     verdict: FeasibilityVerdict,
     tol: float = DEFAULT_TOL,
-    sample_count: int = _SAMPLE_COUNT,
 ) -> WitnessRecord | None:
     """Search for a separable input mapped to an entangled output.
 
-    Candidates are tried in a fixed order: uniform pairwise superpositions
-    of the specified inputs and two distinguished product states (when in
-    span), then ``sample_count`` low-discrepancy coefficient vectors on
-    the complex unit sphere.  The record with maximal output entanglement
-    wins, earlier candidates breaking ties; the sampling stage is skipped
-    when the canonical stage already attains the maximal score of one.
+    Two stages run in a fixed order.  The canonical stage tries uniform
+    pairwise superpositions of the specified inputs and, on two qubits, the
+    product states |+>|0> and |i>|i> when they lie in the span.  The
+    product-vector stage then searches the separable inputs of the span
+    directly: on two qubits by their A factor (a Bloch-sphere scan with
+    local refinement, plus the exceptional A factors solved exactly), in
+    other dimensions by alternating projection from the computational
+    basis, which is not exhaustive.  It is skipped when the canonical stage
+    already attains the maximal score of one, and its witness replaces the
+    canonical one only when its output entanglement is strictly higher;
+    within a stage earlier candidates break ties.
     """
     if not verdict.is_realizable:
         raise ValueError("witness search needs a Realizable verdict")
@@ -277,9 +473,13 @@ def find_entangling_witness(
     dims = (spec.dim_a, spec.dim_b)
     best = _best_witness(spec, _stage_candidates_canonical(spec, tol))
     if best is None or best[0] < 1.0 - 1e-12:
-        sampled = _best_witness(spec, _stage_candidates_sampled(spec.n, sample_count))
-        if sampled is not None and (best is None or sampled[0] > best[0]):
-            best = sampled
+        if dims == (2, 2):
+            inputs = _stage_candidates_2x2(spec)
+        else:
+            inputs = _stage_candidates_projected(spec)
+        found = _best_witness(spec, _span_coefficient_rows(spec, inputs))
+        if found is not None and (best is None or found[0] > best[0]):
+            best = found
     if best is None:
         return None
     ent_out, _, in_vec, out_vec, coeff, ent_in = best

@@ -1,13 +1,14 @@
 """Scenario runner, process-file checking, and report emission.
 
 Exit codes: 0 pass, 1 negative classification, 2 scenario assertion
-failure, 3 undetermined, 64 usage error, 65 data error.
+failure, 3 undetermined, 64 usage error, 65 data error, 70 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ EXIT_ASSERTION = 2
 EXIT_UNDETERMINED = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 _PROTOCOL_INPUTS = 100
 
@@ -714,18 +716,25 @@ def main(argv=None) -> int:
             doc, code = run_scenario(ns.scenario, config)
         else:
             doc, code = check_spec_file(ns.path, config)
+        payload = emit_report(doc, config.format)
+        if ns.output:
+            Path(ns.output).write_bytes(payload)
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
     except UsageError as exc:
         print(f"qcatalysis: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SpecFileError as exc:
         print(f"qcatalysis: {exc}", file=sys.stderr)
         return EXIT_DATA
-    payload = emit_report(doc, config.format)
-    if ns.output:
-        Path(ns.output).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    except Exception as exc:
+        # a fault of the program, never to be mistaken for a negative verdict;
+        # the traceback goes to the package logger, stderr gets one line
+        logging.getLogger("qcatalysis").debug("internal error", exc_info=True)
+        message = " ".join(str(exc).split())
+        print(f"qcatalysis: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

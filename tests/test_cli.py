@@ -6,6 +6,7 @@ import pytest
 from qcatalysis import classify, cloning_process, deletion_process
 from qcatalysis.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_PASS,
     EXIT_UNDETERMINED,
@@ -247,6 +248,29 @@ class TestMainEntryPoint:
         path = write_json(tmp_path, "und.json", {"version": 1, "dimA": 2, "dimB": 2, "pairs": pairs})
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_UNDETERMINED
+
+    @pytest.mark.parametrize("argv", [["run", "cloning"], ["check", "spec.json"]])
+    def test_internal_fault_is_not_a_verdict(
+        self, argv, tmp_path, monkeypatch, capsys, caplog
+    ):
+        import logging
+
+        import qcatalysis.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated fault\nwith a second line")
+
+        save_process_spec(cloning_process(), tmp_path / "spec.json")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "classify", broken)
+        caplog.set_level(logging.DEBUG, logger="qcatalysis")
+        assert main(argv) == EXIT_INTERNAL
+        assert any(r.exc_info for r in caplog.records)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "RuntimeError: simulated fault with a second line" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_stdout_emission(self, capsysbinary):
         code = main(["run", "teleport"])

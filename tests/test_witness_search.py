@@ -1,0 +1,217 @@
+"""Regression tests for the product-vector witness search.
+
+Each spec has its witnesses off the canonical candidates (pairwise sums of
+the inputs, |+>|0> and |i>|i>), so only the product-vector stage finds them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qcatalysis import (
+    QUANTUM_CATALYSIS,
+    ProcessSpec,
+    PureState,
+    apply_process,
+    classify,
+    concurrence,
+    decide_feasibility,
+    deletion_process,
+    deletion_residue,
+    find_entangling_witness,
+    ket_plus,
+    phase_aligned_distance,
+    schmidt_coefficients,
+)
+
+from helpers import random_unitary
+
+SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def coherent_spec(inputs, unitary, dims=(2, 2)) -> ProcessSpec:
+    """Pairs a_i -> U a_i for the columns a_i of ``inputs`` (normalized)."""
+    inputs = np.asarray(inputs, dtype=np.complex128)
+    inputs = inputs / np.linalg.norm(inputs, axis=0)[None, :]
+    outputs = unitary @ inputs
+    pairs = tuple(
+        (PureState(dims, inputs[:, i]), PureState(dims, outputs[:, i]))
+        for i in range(inputs.shape[1])
+    )
+    return ProcessSpec(dims[0], dims[1], pairs)
+
+
+def rotated_deletion_spec(seed: int, angles=(0.4, 1.9), dim_b: int = 2) -> ProcessSpec:
+    """Deletion with U_A (x) U_B on the inputs and U_A (x) V_B on the outputs.
+
+    The witness moves from |i>|i> to (U_A (x) U_B)|i>|i>, off the canonical
+    list.  With dim_b = 3 the qubit B is embedded in the first two levels.
+    """
+    rng = np.random.default_rng(seed)
+    ua, ub, vb = (random_unitary(rng, 2) for _ in range(3))
+    spec = deletion_process(
+        (deletion_residue(angles[0]), deletion_residue(angles[1]), ket_plus())
+    )
+    inputs = np.kron(ua, ub) @ spec.input_matrix()
+    outputs = np.kron(ua, vb) @ spec.output_matrix()
+    if dim_b == 3:
+        inputs = np.kron(np.eye(2), np.eye(3, 2)) @ inputs
+        outputs = np.kron(np.eye(2), np.eye(3, 2)) @ outputs
+    pairs = tuple(
+        (PureState((2, dim_b), inputs[:, i]), PureState((2, dim_b), outputs[:, i]))
+        for i in range(3)
+    )
+    return ProcessSpec(2, dim_b, pairs)
+
+
+def exceptional_line_spec() -> ProcessSpec:
+    """Three inputs whose span is the complement of the product |11>.
+
+    The process acts on the span as |00> -> |00>, |10> -> |10>,
+    |01> -> |11>.  Its product inputs are x (x) |0>, mapped to products,
+    and |0> (x) y, the exceptional line of the A factor |0>, mapped to
+    y0|00> + y1|11>.  Every canonical candidate is entangled or of the form
+    x (x) |0>, so none is a witness.
+    """
+    inputs = np.array(
+        [[1, 1, 1, 0], [1, -1, 2, 0], [2, 1, -1, 0]], dtype=np.complex128
+    ).T
+    cnot = np.eye(4)[:, [0, 3, 2, 1]]
+    return coherent_spec(inputs, cnot)
+
+
+def two_product_spec() -> ProcessSpec:
+    """Span{|00>, |11>}, whose only product vectors are |00> and |11>.
+
+    |00> maps to a Bell state (concurrence 1) and |11> to
+    0.6|00> + 0.8|11> (concurrence 0.96); local unitaries on the inputs and
+    on the outputs move both product vectors off the computational basis.
+    """
+    u = np.zeros((4, 4), dtype=np.complex128)
+    u[:, 0] = [0, SQ2, SQ2, 0]
+    u[:, 3] = [0.6, 0, 0, 0.8]
+    u[:, 1] = [0, SQ2, -SQ2, 0]
+    u[:, 2] = [0.8, 0, 0, -0.6]
+    inputs = np.array([[1, 0, 0, 1], [1, 0, 0, 1j]], dtype=np.complex128).T
+    rng = np.random.default_rng(7)
+    local_in = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    local_out = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return coherent_spec(local_in @ inputs, local_out @ u @ local_in.conj().T)
+
+
+def product_span_spec() -> ProcessSpec:
+    """A CNOT on the span C^2 (x) y0, where every input is a product.
+
+    With y0 = V|0> for a fixed-seed Haar V, the process maps x (x) y0 to
+    CNOT(x (x) |0>).  The inputs |0> (x) y0 and (|0> + 2|1>) (x) y0 / sqrt(5)
+    make the pairwise sum a witness of concurrence about 0.89;
+    |+> (x) y0, mapped to a Bell state, is no canonical candidate.
+    """
+    v = random_unitary(np.random.default_rng(13), 2)
+    local = np.kron(np.eye(2), v)
+    inputs = local @ np.array([[1, 0, 0, 0], [1, 0, 2, 0]], dtype=np.complex128).T
+    cnot = np.eye(4)[:, [0, 1, 3, 2]]
+    return coherent_spec(inputs, cnot @ local.conj().T)
+
+
+def full_span_spec() -> ProcessSpec:
+    """Four inputs and a fixed-seed Haar unitary: every product is an input.
+
+    The random inputs overlap pairwise, so every environment overlap is
+    determined.
+    """
+    rng = np.random.default_rng(11)
+    inputs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return coherent_spec(inputs, random_unitary(rng, 4))
+
+
+def assert_sound(spec: ProcessSpec, verdict, w) -> None:
+    assert w is not None
+    if spec.dim_a * spec.dim_b == 4:
+        assert concurrence(w.input) <= 1e-9
+        assert concurrence(w.output) == pytest.approx(w.concurrence_out, abs=1e-9)
+    else:
+        assert schmidt_coefficients(w.input)[1] <= 1e-9
+    assert w.concurrence_in <= 1e-9
+    assert w.concurrence_out > 1e-6
+    recomputed = apply_process(spec, verdict, w.input)
+    assert phase_aligned_distance(recomputed.vector, w.output.vector) < 1e-9
+    synth = spec.input_matrix() @ w.coefficients
+    assert np.max(np.abs(synth - w.input.vector)) < 1e-9
+
+
+SPECS = {
+    "rotated-deletion": lambda: rotated_deletion_spec(3),
+    "exceptional-line": exceptional_line_spec,
+    "two-products": two_product_spec,
+    "product-span": product_span_spec,
+    "full-span": full_span_spec,
+    "rotated-deletion-2x3": lambda: rotated_deletion_spec(3, dim_b=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_witness_is_sound_and_repeatable(name):
+    spec = SPECS[name]()
+    verdict = decide_feasibility(spec)
+    first = find_entangling_witness(spec, verdict)
+    assert_sound(spec, verdict, first)
+    again = find_entangling_witness(spec, verdict)
+    np.testing.assert_array_equal(first.input.vector, again.input.vector)
+    np.testing.assert_array_equal(first.output.vector, again.output.vector)
+    np.testing.assert_array_equal(first.coefficients, again.coefficients)
+    assert first.concurrence_out == again.concurrence_out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_rotated_deletion_is_quantum_catalysis(seed):
+    report = classify(rotated_deletion_spec(seed))
+    assert report.catalyst_intact
+    assert report.classification == QUANTUM_CATALYSIS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_local_unitaries_keep_the_best_witness(seed):
+    # local unitaries map product inputs to product inputs and keep the
+    # output concurrence, so the best witness score cannot move
+    angles = (0.4, 1.9)
+    plain = deletion_process(
+        (deletion_residue(angles[0]), deletion_residue(angles[1]), ket_plus())
+    )
+    best = classify(plain).witness.concurrence_out
+    rotated = classify(rotated_deletion_spec(seed, angles)).witness.concurrence_out
+    assert rotated == pytest.approx(best, abs=1e-8)
+
+
+def test_exceptional_line_witness():
+    spec = exceptional_line_spec()
+    w = find_entangling_witness(spec, decide_feasibility(spec))
+    # the A factor is |0>, the only A factor with entangled images
+    assert np.linalg.norm(w.input.vector[2:]) <= 1e-9
+    assert w.concurrence_out == pytest.approx(1.0, abs=1e-9)
+
+
+def test_two_product_span_picks_the_better_product():
+    spec = two_product_spec()
+    w = find_entangling_witness(spec, decide_feasibility(spec))
+    assert w.concurrence_out == pytest.approx(1.0, abs=1e-9)
+
+
+def test_product_span_beats_the_pairwise_sum():
+    spec = product_span_spec()
+    w = find_entangling_witness(spec, decide_feasibility(spec))
+    assert w.concurrence_out == pytest.approx(1.0, abs=1e-9)
+
+
+def test_full_span_witness_beats_random_products():
+    spec = full_span_spec()
+    w = find_entangling_witness(spec, decide_feasibility(spec))
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
+    ys = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
+    prods = (xs[:, :, None] * ys[:, None, :]).reshape(-1, 4)
+    out = prods @ (spec.output_matrix() @ np.linalg.inv(spec.input_matrix())).T
+    conc = 2.0 * np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
+    conc = conc / np.sum(np.abs(out) ** 2, axis=1)
+    assert w.concurrence_out >= conc.max() - 1e-9
