@@ -9,6 +9,7 @@ transmission of an arbitrary qubit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,6 +153,31 @@ def deletion_residue(angle: float) -> PureState:
     return PureState((2,), np.array([(1.0 + w) / 2.0, (1.0 - w) / 2.0]))
 
 
+def _factorize_pairs(spec: ProcessSpec, tol: float):
+    """Product factors (A, B) of every input and output, None if entangled."""
+
+    def factors(s):
+        try:
+            return product_factorize(s, 1, tol)
+        except EntangledStateError:
+            return None
+
+    return [(factors(a), factors(b)) for a, b in spec.pairs]
+
+
+def _pair_intactness(factors, tol: float) -> tuple[PairIntactness, ...]:
+    reports = []
+    for idx, (f_in, f_out) in enumerate(factors):
+        fid = None
+        if f_in is not None and f_out is not None:
+            fid = fidelity(f_in[0], f_out[0])
+        intact = fid is not None and fid >= 1.0 - tol
+        reports.append(
+            PairIntactness(idx, f_in is not None, f_out is not None, fid, intact)
+        )
+    return tuple(reports)
+
+
 def catalyst_intact(
     spec: ProcessSpec, tol: float = DEFAULT_TOL
 ) -> tuple[PairIntactness, ...]:
@@ -160,23 +186,7 @@ def catalyst_intact(
     A pair is intact when both its input and output factorize across the
     A|B cut and the two A factors agree up to global phase.
     """
-    reports = []
-    for idx, (a, b) in enumerate(spec.pairs):
-        factors = []
-        flags = []
-        for s in (a, b):
-            try:
-                factors.append(product_factorize(s, 1, tol))
-                flags.append(True)
-            except EntangledStateError:
-                factors.append(None)
-                flags.append(False)
-        fid = None
-        if all(flags):
-            fid = fidelity(factors[0][0], factors[1][0])
-        intact = fid is not None and fid >= 1.0 - tol
-        reports.append(PairIntactness(idx, flags[0], flags[1], fid, intact))
-    return tuple(reports)
+    return _pair_intactness(_factorize_pairs(spec, tol), tol)
 
 
 def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -492,33 +502,22 @@ def find_entangling_witness(
     )
 
 
-def _bob_alone_impossible(spec: ProcessSpec, tol: float) -> bool:
+def _bob_alone_impossible(factors, tol: float) -> bool:
     """True when two inputs share their B factor but the outputs do not."""
-    b_in = []
-    b_out = []
-    for a, b in spec.pairs:
-        try:
-            b_in.append(product_factorize(a, 1, tol)[1])
-            b_out.append(product_factorize(b, 1, tol)[1])
-        except EntangledStateError:
-            b_in.append(None)
-            b_out.append(None)
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            if None in (b_in[i], b_in[j], b_out[i], b_out[j]):
-                continue
-            same_in = fidelity(b_in[i], b_in[j]) >= 1.0 - tol
-            distinct_out = fidelity(b_out[i], b_out[j]) <= 1.0 - tol
-            if same_in and distinct_out:
-                return True
+    b_factors = [
+        (f_in[1], f_out[1])
+        for f_in, f_out in factors
+        if f_in is not None and f_out is not None
+    ]
+    for (in_i, out_i), (in_j, out_j) in itertools.combinations(b_factors, 2):
+        same_in = fidelity(in_i, in_j) >= 1.0 - tol
+        distinct_out = fidelity(out_i, out_j) <= 1.0 - tol
+        if same_in and distinct_out:
+            return True
     return False
 
 
-def classify(
-    spec: ProcessSpec,
-    tol: float = DEFAULT_TOL,
-    backend: str | None = None,
-) -> CatalysisReport:
+def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     """Full catalysis verdict for a specified process.
 
     Infeasible or undetermined feasibility, or a disturbed catalyst, gives
@@ -530,11 +529,12 @@ def classify(
     if isinstance(result, FeasibilityVerdict):
         verdict = result
     else:
-        verdict = complete_psd(result, tol, backend)
-    pair_reports = catalyst_intact(spec, tol)
+        verdict = complete_psd(result, tol)
+    factors = _factorize_pairs(spec, tol)
+    pair_reports = _pair_intactness(factors, tol)
     intact = all(p.intact for p in pair_reports)
     coherent = verdict.is_realizable and _coherent_gram_check(verdict, tol)
-    bob_flag = _bob_alone_impossible(spec, tol)
+    bob_flag = _bob_alone_impossible(factors, tol)
 
     witness = None
     reason = None
@@ -545,7 +545,7 @@ def classify(
             at = f" at pair {c.pair}" if c.pair is not None else ""
             reason = f"{c.reason}{at} (magnitude {c.magnitude:.6g})"
         else:
-            reason = "feasibility undetermined (completion search declined)"
+            reason = "feasibility undetermined (no exact completion rule applies)"
     elif not intact:
         first_bad = next(p.index for p in pair_reports if not p.intact)
         classification = NOT_CATALYSIS

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .linalg import DEFAULT_TOL, DependentBasisError, span_coefficients
 from .states import PureState
 
@@ -33,14 +32,7 @@ UNDETERMINED = "undetermined"
 REASON_MODULUS = "modulus_violation"
 REASON_OUTPUT_NULL = "output_null_input_not"
 REASON_PSD = "psd_violation"
-
-# coarse-to-fine grid for free environment overlaps: initial resolution
-# 0.05 on modulus and on phase (as a fraction of a turn), two refinement
-# rounds shrinking the step tenfold around the best candidate
-_GRID_MOD_STEP = 0.05
-_GRID_PHASE_STEP = 0.05 * 2.0 * math.pi
-_REFINEMENTS = 2
-_MAX_FREE_ENTRIES = 3
+REASON_CYCLE = "cycle_violation"
 
 _RANK_CUTOFF = 1e-9
 
@@ -167,8 +159,11 @@ class EnvironmentGram:
 class Certificate:
     """Evidence for an infeasibility verdict.
 
-    ``pair`` names the offending (i, j) when one exists; a failed
-    completion search has no single offending pair and reports None.
+    ``pair`` names the offending (i, j) when one exists.  A psd_violation
+    has none: its magnitude is minus the smallest eigenvalue of the worst
+    fully determined clique.  A cycle_violation names the chord (u, v) of a
+    4-cycle pattern, and its magnitude is the gap between the two disks
+    that the chord must lie in (see ``complete_psd``).
     """
 
     reason: str
@@ -270,91 +265,167 @@ def environment_gram(
     return EnvironmentGram(values, known)
 
 
-def _polar_tables(mods: list[np.ndarray], phases: list[np.ndarray]):
-    k = len(mods)
-    counts = np.array([m.size * p.size for m, p in zip(mods, phases)], dtype=np.int64)
-    width = int(counts.max())
-    values = np.zeros((k, width), dtype=np.complex128)
-    for e in range(k):
-        grid = mods[e][:, None] * np.exp(1j * phases[e][None, :])
-        values[e, : counts[e]] = grid.reshape(-1)
-    return values, counts
+def _elimination_order(known: np.ndarray) -> list[int] | None:
+    """Maximum-cardinality search order of the pattern, or None if not chordal.
 
-
-def _candidate_center(flat, mods, phases, counts):
-    centers = []
-    rem = int(flat)
-    for e in range(len(mods) - 1, -1, -1):
-        g = rem % int(counts[e])
-        rem //= int(counts[e])
-        centers.append((mods[e][g // phases[e].size], phases[e][g % phases[e].size]))
-    centers.reverse()
-    return centers
-
-
-def complete_psd(
-    eg: EnvironmentGram,
-    tol: float = DEFAULT_TOL,
-    backend: str | None = None,
-) -> FeasibilityVerdict:
-    """Search free overlaps over the closed unit disk for a PSD completion.
-
-    At most three free entries are searched (coarse polar grid plus two
-    tenfold refinements around the best candidate); more give an honest
-    Undetermined.  The first feasible grid point in scan order wins, so
-    the completion is reproducible across runs and backends.
+    Index 0 is visited first, then always the unvisited index with the most
+    visited neighbours (the lowest one on ties).  The pattern is chordal
+    exactly when the earlier-visited neighbours of every index form a
+    clique, that is when the reversed visit order is a perfect elimination
+    ordering.
     """
-    free = eg.free_pairs()
-    base = np.array(eg.values, dtype=np.complex128)
-    if not free:
-        margin = float(np.linalg.eigvalsh(base)[0])
-        if margin >= -tol:
-            return FeasibilityVerdict(REALIZABLE, completed_gram=base)
-        return FeasibilityVerdict(
-            INFEASIBLE, certificate=Certificate(REASON_PSD, None, abs(margin))
+    n = known.shape[0]
+    adjacent = known & ~np.eye(n, dtype=bool)
+    weight = np.zeros(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    order = []
+    for _ in range(n):
+        v = int(np.argmax(np.where(visited, -1, weight)))
+        order.append(v)
+        visited[v] = True
+        weight += adjacent[v]
+    for clique in _order_cliques(known, order):
+        if not known[np.ix_(clique, clique)].all():
+            return None
+    return order
+
+
+def _order_cliques(known: np.ndarray, order: list[int]):
+    """Each index with its earlier-visited neighbours.
+
+    On a chordal pattern these are cliques, and every maximal clique is
+    among them.
+    """
+    for k, v in enumerate(order):
+        yield [v] + [w for w in order[:k] if known[v, w]]
+
+
+def _chordal_fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float) -> None:
+    """Fill every free entry of a chordal pattern in place.
+
+    Index v is joined to each earlier-visited index w it is not yet joined
+    to, in visit order.  The earlier indices are then pairwise joined, so
+    the pattern stays chordal and the common neighbours S of v and w form
+    the one clique the new entry closes: G_vw = G_vS G_SS^+ G_Sw, or zero
+    when S is empty.
+    """
+    for k, v in enumerate(order):
+        for w in order[:k]:
+            if known[v, w]:
+                continue
+            s = np.flatnonzero(known[v] & known[w])
+            z = 0.0
+            if s.size:
+                pinv = np.linalg.pinv(g[np.ix_(s, s)], rcond=tol, hermitian=True)
+                z = g[v, s] @ pinv @ g[s, w]
+            g[v, w] = z
+            g[w, v] = np.conj(z)
+            known[v, w] = known[w, v] = True
+
+
+def _cycle_chord(g: np.ndarray, free, tol: float) -> tuple[complex | None, float]:
+    """Chord of a 4-cycle pattern, or None, with the gap between its disks.
+
+    For free pairs (u, v) and (k, l), the chord z = G_uv makes the triangle
+    {u, v, m} PSD exactly on the disk |z - G_um G_mv| <= r_m with
+    r_m = sqrt((1 - |G_um|^2)(1 - |G_mv|^2)).  The chord is a centre lying
+    in the other disk, or else the point at distance r_k from the first
+    centre towards the second.
+    """
+    (u, v), (k, l) = free
+    centres = []
+    radii = []
+    for m in (k, l):
+        a, b = g[u, m], g[m, v]
+        centres.append(a * b)
+        radii.append(math.sqrt(max(0.0, (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2))))
+    (c1, c2), (r1, r2) = centres, radii
+    dist = abs(c1 - c2)
+    gap = dist - r1 - r2
+    if gap > tol:
+        return None, gap
+    if dist <= r2 + tol:
+        return c1, gap
+    if dist <= r1 + tol:
+        return c2, gap
+    return c1 + r1 * (c2 - c1) / dist, gap
+
+
+def _checked(g: np.ndarray, tol: float) -> FeasibilityVerdict:
+    if float(np.linalg.eigvalsh(g)[0]) >= -tol:
+        return FeasibilityVerdict(REALIZABLE, completed_gram=g)
+    return FeasibilityVerdict(UNDETERMINED)
+
+
+def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
+    """Decide exactly whether the determined overlaps complete to a PSD matrix.
+
+    No search is involved.  The pattern is decided by the first rule that
+    applies:
+
+    - Coherent: every determined off-diagonal overlap lies within ``tol``
+      of one, or none is determined.  Every free entry is set to one, the
+      completion under which the process acts coherently on superpositions.
+    - Chordal: by Grone, Johnson, Sa and Wolkowicz (Linear Algebra Appl. 58,
+      1984) a completion exists exactly when every fully determined clique
+      is PSD.  A clique with an eigenvalue below -tol gives Infeasible with
+      a psd_violation of minus the smallest clique eigenvalue.  Otherwise
+      the free entries are filled one at a time, keeping the pattern
+      chordal, by G_ij = G_iS G_SS^+ G_Sj over the common determined
+      neighbours S of i and j (zero for an empty S); with positive definite
+      cliques this is the maximum-determinant completion.
+    - 4-cycle, the only pattern on four indices that is not chordal: free
+      pairs (u, v) and (k, l) sharing no index.  The chord G_uv must lie in
+      one disk for each of k and l (see ``_cycle_chord``).  Disjoint disks
+      give Infeasible with a cycle_violation on (u, v) whose magnitude is
+      the gap between them; otherwise the chord is set to a point of both
+      and (k, l) is filled by the chordal rule.
+    - Any other pattern that is not chordal (five indices or more) is
+      Undetermined.
+
+    A completion is Realizable only when its smallest eigenvalue is at
+    least -tol; otherwise the verdict is Undetermined, never Infeasible.
+    """
+    g = np.array(eg.values, dtype=np.complex128)
+    known = np.array(eg.known, dtype=bool)
+    off_diagonal = known & ~np.eye(eg.n, dtype=bool)
+    if np.all(np.abs(g[off_diagonal] - 1.0) <= tol):
+        g[~known] = 1.0
+        return _checked(g, tol)
+    order = _elimination_order(known)
+    if order is not None:
+        worst = min(
+            float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
+            for c in _order_cliques(known, order)
         )
-    if len(free) > _MAX_FREE_ENTRIES:
+        if worst < -tol:
+            return FeasibilityVerdict(
+                INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst)
+            )
+    elif eg.n == 4:
+        free = eg.free_pairs()
+        z, gap = _cycle_chord(g, free, tol)
+        if z is None:
+            return FeasibilityVerdict(
+                INFEASIBLE, certificate=Certificate(REASON_CYCLE, free[0], gap)
+            )
+        (u, v), _ = free
+        g[u, v] = z
+        g[v, u] = np.conj(z)
+        known[u, v] = known[v, u] = True
+        order = _elimination_order(known)
+    else:
         return FeasibilityVerdict(UNDETERMINED)
-
-    k = len(free)
-    pairs = np.array(free, dtype=np.int64)
-    mod_step = _GRID_MOD_STEP
-    phase_step = _GRID_PHASE_STEP
-    mods = [np.linspace(0.0, 1.0, round(1.0 / mod_step) + 1)] * k
-    phases = [np.arange(round(2.0 * math.pi / phase_step)) * phase_step] * k
-    best_margin = -np.inf
-    for _ in range(_REFINEMENTS + 1):
-        values, counts = _polar_tables(mods, phases)
-        result = _kernels.scan_completions(base, pairs, values, counts, tol, backend)
-        if result.found >= 0:
-            fills = _kernels.decode_candidate(result.found, values, counts)
-            completed = base.copy()
-            for (i, j), v in zip(free, fills):
-                completed[i, j] = v
-                completed[j, i] = v.conjugate()
-            return FeasibilityVerdict(REALIZABLE, completed_gram=completed)
-        best_margin = result.best_margin
-        centers = _candidate_center(result.best, mods, phases, counts)
-        mod_step /= 10.0
-        phase_step /= 10.0
-        offsets = np.arange(-10, 11, dtype=np.float64)
-        mods = [np.clip(c[0] + offsets * mod_step, 0.0, 1.0) for c in centers]
-        phases = [
-            np.mod(c[1] + offsets * phase_step, 2.0 * math.pi) for c in centers
-        ]
-    return FeasibilityVerdict(
-        INFEASIBLE, certificate=Certificate(REASON_PSD, None, abs(best_margin))
-    )
+    _chordal_fill(g, known, order, tol)
+    return _checked(g, tol)
 
 
-def decide_feasibility(
-    spec: ProcessSpec, tol: float = DEFAULT_TOL, backend: str | None = None
-) -> FeasibilityVerdict:
+def decide_feasibility(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     """environment_gram followed by complete_psd."""
     result = environment_gram(spec, tol)
     if isinstance(result, FeasibilityVerdict):
         return result
-    return complete_psd(result, tol, backend)
+    return complete_psd(result, tol)
 
 
 def environment_vectors(

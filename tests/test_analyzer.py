@@ -8,6 +8,7 @@ from qcatalysis import (
     NO_WITNESS_FOUND,
     QUANTUM_CATALYSIS,
     ProcessSpec,
+    PureState,
     apply_process,
     catalyst_intact,
     circular_pair_input,
@@ -184,6 +185,33 @@ class TestClassify:
         probe = PureState((2, 2), vec / np.linalg.norm(vec))
         rho = output_density(spec, report.verdict, probe)
         assert rho.purity() < 1.0 - 1e-3
+
+    def test_factorizes_each_state_once(self, monkeypatch):
+        import qcatalysis.analyzer as analyzer
+
+        calls = []
+        real = analyzer.product_factorize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "product_factorize", counting)
+        for spec in (cloning_process(), deletion_process(), _deaf_copier_process()):
+            calls.clear()
+            classify(spec)
+            assert len(calls) == 2 * spec.n
+
+    def test_bob_flag_skips_an_entangled_output(self):
+        # pair 0 has an entangled output; pairs 1 and 2 share Bob's input
+        # factor |1> but not his output factor
+        bell = PureState((2, 2), np.array([SQ2, 0, 0, SQ2]))
+        pairs = (
+            (ket("00"), bell),
+            (ket("01"), ket("01")),
+            (ket("11"), ket("10")),
+        )
+        assert classify(ProcessSpec(2, 2, pairs)).bob_alone_impossible
 
     def test_deterministic(self):
         r1 = classify(cloning_process())

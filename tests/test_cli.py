@@ -238,14 +238,23 @@ class TestMainEntryPoint:
         assert main(["check", str(path)]) == EXIT_DATA
 
     def test_check_undetermined_file(self, tmp_path, capsys):
-        # four mutually orthogonal pairs leave six free overlaps, beyond
-        # the completion search cap
-        basis = np.eye(4)
-        pairs = [
-            {"in": [[float(x), 0.0] for x in basis[i]], "out": [[float(x), 0.0] for x in basis[i]]}
-            for i in range(4)
-        ]
-        path = write_json(tmp_path, "und.json", {"version": 1, "dimA": 2, "dimB": 2, "pairs": pairs})
+        # five pairs on 2x3 whose nonzero overlaps form a 5-cycle, one forced
+        # environment overlap 1/2: not coherent, not chordal, no exact rule
+        from qcatalysis import ProcessSpec, PureState
+
+        cycle = np.roll(np.eye(5), 1, axis=1)
+        g_out = np.eye(5) + 0.3 * (cycle + cycle.T)
+        env = np.ones((5, 5))
+        env[0, 1] = env[1, 0] = 0.5
+        families = []
+        for g in (g_out * env, g_out):
+            factor = np.linalg.cholesky(g).T
+            families.append([np.concatenate([factor[:, i], [0.0]]) for i in range(5)])
+        pairs = tuple(
+            (PureState((2, 3), a), PureState((2, 3), b)) for a, b in zip(*families)
+        )
+        path = tmp_path / "und.json"
+        save_process_spec(ProcessSpec(2, 3, pairs), path)
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_UNDETERMINED
 

@@ -1,4 +1,8 @@
-"""The package runs on numpy alone: no scipy module is needed or loaded."""
+"""The package runs on numpy alone.
+
+No scipy module is needed or loaded, and no verdict loads the unused
+completion-scan kernels or numba.
+"""
 
 import os
 import subprocess
@@ -36,6 +40,26 @@ def test_import_loads_no_scipy():
         "import sys\n"
         "import qcatalysis\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_verdicts_load_no_scan_kernels():
+    # three orthogonal pairs leave three free overlaps to complete
+    code = (
+        "import os, sys\n"
+        "import qcatalysis\n"
+        "from qcatalysis import cli\n"
+        "pairs = tuple((qcatalysis.ket(a), qcatalysis.ket(b))\n"
+        "              for a, b in (('00', '01'), ('01', '10'), ('10', '11')))\n"
+        "spec = qcatalysis.ProcessSpec(2, 2, pairs)\n"
+        "assert len(qcatalysis.environment_gram(spec).free_pairs()) == 3\n"
+        "assert qcatalysis.classify(spec).verdict.is_realizable\n"
+        "assert cli.main(['run', 'cloning', '--output', os.devnull]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'qcatalysis._kernels' or m.split('.')[0] == 'numba'))\n"
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr

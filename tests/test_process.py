@@ -212,13 +212,15 @@ class TestCompletePsd:
         assert verdict.certificate.reason == "psd_violation"
         assert verdict.certificate.magnitude > 0.1
 
-    def test_more_than_three_free_entries_declines(self):
+    def test_no_determined_overlap_completes_to_all_ones(self):
         eg = EnvironmentGram(np.eye(4, dtype=complex), np.eye(4, dtype=bool))
-        assert complete_psd(eg).status == "undetermined"
+        verdict = complete_psd(eg)
+        assert verdict.is_realizable
+        np.testing.assert_array_equal(verdict.completed_gram, np.ones((4, 4)))
 
     def test_three_free_entries_searchable(self):
         # three mutually orthogonal pairs leave exactly three free slots;
-        # the identity completion is feasible and sits first in scan order
+        # with no determined overlap the coherent all-ones completion is taken
         pairs = tuple(
             (ket(a), ket(b)) for a, b in (("00", "01"), ("01", "10"), ("10", "11"))
         )
@@ -227,7 +229,7 @@ class TestCompletePsd:
         assert len(eg.free_pairs()) == 3
         verdict = complete_psd(eg)
         assert verdict.is_realizable
-        np.testing.assert_allclose(verdict.completed_gram, np.eye(3), atol=1e-12)
+        np.testing.assert_array_equal(verdict.completed_gram, np.ones((3, 3)))
         v = construct_isometry(spec, verdict)
         sig = environment_vectors(verdict.completed_gram)
         e0 = np.zeros(sig.shape[0], dtype=complex)
@@ -387,11 +389,11 @@ class TestOutputDensity:
         b1 = tensor(ket("0"), ket("0"))
         b2 = tensor(ket("1"), ket("0"))
         spec = ProcessSpec(2, 2, ((a1, b1), (a2, b2)))
-        verdict = decide_feasibility(spec)
-        assert verdict.is_realizable
-        np.testing.assert_allclose(
-            verdict.completed_gram, np.eye(2), atol=1e-12
-        )
+        # the overlap is free and complete_psd takes the coherent completion;
+        # the orthogonal one is valid too and is built here explicitly
+        chosen = decide_feasibility(spec)
+        np.testing.assert_array_equal(chosen.completed_gram, np.ones((2, 2)))
+        verdict = FeasibilityVerdict("realizable", completed_gram=np.eye(2))
         probe = PureState((2, 2), (a1.vector + a2.vector) * SQ2)
         rho = output_density(spec, verdict, probe)
         assert rho.purity() == pytest.approx(0.5)
