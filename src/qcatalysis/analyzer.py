@@ -15,19 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, span_coefficients
+from .linalg import DEFAULT_TOL, DependentBasisError
 from .process import (
     EnvironmentsDifferError,
     FeasibilityVerdict,
     ProcessSpec,
     _coherent_gram_check,
     apply_process,
-    complete_psd,
-    environment_gram,
+    decide_feasibility,
 )
 from .states import (
     EntangledStateError,
     PureState,
+    concurrence,
     fidelity,
     ket,
     ket_plus,
@@ -58,6 +58,12 @@ _REFINE_OFFSETS = (
 
 # alternating projections per start in the search for other dimensions
 _PROJECTION_STEPS = 200
+
+# the named product inputs |+>|0> and |i>|i> of the canonical stage on two qubits
+_CIRCULAR = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+_CIRCULAR_PAIR = np.kron(_CIRCULAR, _CIRCULAR)
+_PLUS_ZERO = np.kron([1.0, 1.0], [1.0, 0.0]) / math.sqrt(2.0)
+_NAMED_2X2 = np.array([_PLUS_ZERO, _CIRCULAR_PAIR])
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,24 +208,19 @@ def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray
     return np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0)
 
 
-def _stage_candidates_canonical(spec: ProcessSpec, tol: float) -> np.ndarray:
-    n = spec.n
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = np.zeros(n, dtype=np.complex128)
-            c[i] = c[j] = 1.0
-            rows.append(c)
+def _stage_candidates_canonical(
+    spec: ProcessSpec, span_map: np.ndarray, tol: float
+) -> np.ndarray:
+    """Coefficients of each sum a_i + a_j, then, on two qubits, of each
+    named product input lying within ``tol`` of the span."""
+    i, j = np.triu_indices(spec.n, 1)
+    eye = np.eye(spec.n, dtype=np.complex128)
+    rows = eye[i] + eye[j]
     if (spec.dim_a, spec.dim_b) == (2, 2):
-        plus_zero = tensor(ket_plus(), ket("0"))
-        circ = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-        circ_pair = np.kron(circ, circ)
-        basis = [s.vector for s in spec.inputs]
-        for vec in (plus_zero.vector, circ_pair):
-            coeff, residual = span_coefficients(basis, vec, tol)
-            if residual <= tol:
-                rows.append(coeff)
-    return np.array(rows, dtype=np.complex128).reshape(-1, n)
+        named = _NAMED_2X2 @ span_map.T
+        residuals = np.linalg.norm(_NAMED_2X2 - named @ spec.input_matrix().T, axis=1)
+        rows = np.vstack([rows, named[residuals <= tol]])
+    return rows
 
 
 def _spinor_grid(count: int) -> np.ndarray:
@@ -304,7 +305,7 @@ def _scan(score) -> np.ndarray:
     return x
 
 
-def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
+def _stage_candidates_2x2(spec: ProcessSpec, span_map: np.ndarray) -> list[np.ndarray]:
     """Best product inputs x (x) y of the span on two qubits, by rank of the span.
 
     The admissible B factors y of an A factor x are the null space of
@@ -326,13 +327,14 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     input is the top Takagi vector of the output determinant form.  Every
     candidate is a product vector up to rounding; only the scans maximize
     over a continuous family on a grid, to the grid's resolution.
+    ``span_map`` is A^+ for the independent inputs A, so the rank is n.
     """
-    u, sv, _ = np.linalg.svd(spec.input_matrix())
-    rank = int(np.sum(sv > SEPARABLE_CUTOFF * sv[0]))
+    u = np.linalg.svd(spec.input_matrix())[0]
+    rank = spec.n
     if rank == 1:
         return [u[:, 0]]
     # span vector -> output: B A^+
-    image = spec.output_matrix() @ np.linalg.pinv(spec.input_matrix())
+    image = spec.output_matrix() @ span_map
     eye = np.eye(2)
     if rank == 4:
         # the images of x (x) |0> and x (x) |1>, as a linear map of x
@@ -391,22 +393,20 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     return found
 
 
-def _stage_candidates_projected(spec: ProcessSpec) -> np.ndarray:
+def _stage_candidates_projected(spec: ProcessSpec, projector: np.ndarray) -> np.ndarray:
     """Product vectors of the span found by alternating projection (any dims).
 
     Each computational-basis product vector |i>|j> is projected onto the
-    span and replaced by the best unit product approximation of the
-    projection, repeatedly.  Starts that settle on a product vector in the
-    span give candidates.  The search is not exhaustive: it finds at most
-    one product vector per start and does not maximize the output
-    entanglement.
+    span by ``projector`` and replaced by the best unit product
+    approximation of the projection, repeatedly.  Starts that settle on a
+    product vector in the span give candidates.  The search is not
+    exhaustive: it finds at most one product vector per start and does not
+    maximize the output entanglement.
     """
     da, db = spec.dim_a, spec.dim_b
-    u, sv, _ = np.linalg.svd(spec.input_matrix(), full_matrices=False)
-    span = u[:, sv > SEPARABLE_CUTOFF * sv[0]]
     vecs = np.eye(da * db, dtype=np.complex128)
     for _ in range(_PROJECTION_STEPS):
-        proj = (vecs @ span.conj()) @ span.T
+        proj = vecs @ projector.T
         lu, _, lvh = np.linalg.svd(proj.reshape(-1, da, db))
         nxt = (lu[:, :, 0, None] * lvh[:, None, 0, :]).reshape(-1, da * db)
         done = np.max(np.abs(nxt - vecs)) <= 1e-14
@@ -416,15 +416,7 @@ def _stage_candidates_projected(spec: ProcessSpec) -> np.ndarray:
     return vecs
 
 
-def _span_coefficient_rows(spec: ProcessSpec, inputs) -> np.ndarray:
-    """Rows c with sum_i c_i a_i the projection of each input onto the span."""
-    vecs = np.array(inputs, dtype=np.complex128).reshape(-1, spec.dim_a * spec.dim_b)
-    return vecs @ np.linalg.pinv(spec.input_matrix()).T
-
-
-def _best_witness(
-    spec: ProcessSpec, coeffs: np.ndarray
-) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, float] | None:
+def _best_witness(spec: ProcessSpec, coeffs: np.ndarray) -> WitnessRecord | None:
     """Best (by output entanglement) separable-input candidate, or None."""
     in_rows = coeffs @ spec.input_matrix().T
     norms = np.linalg.norm(in_rows, axis=1)
@@ -446,14 +438,13 @@ def _best_witness(
     best = int(np.argmax(ent_out))
     if ent_out[best] <= WITNESS_CUTOFF:
         return None
-    scaled = coeffs[idx[best]] / norms[idx[best]]
-    return (
-        float(ent_out[best]),
-        int(idx[best]),
-        in_rows[best],
-        out_rows[best],
-        scaled,
-        float(ent_in[best]),
+    dims = (spec.dim_a, spec.dim_b)
+    return WitnessRecord(
+        input=PureState(dims, in_rows[best]),
+        output=PureState(dims, out_rows[best]),
+        concurrence_in=float(ent_in[best]),
+        concurrence_out=float(ent_out[best]),
+        coefficients=coeffs[idx[best]] / norms[idx[best]],
     )
 
 
@@ -464,13 +455,20 @@ def find_entangling_witness(
 ) -> WitnessRecord | None:
     """Search for a separable input mapped to an entangled output.
 
+    The inputs must be independent under the rule ProcessSpec applies at
+    construction: a family whose Gram matrix has smallest eigenvalue at or
+    below DEFAULT_TOL (one built with ``require_independent_inputs=False``)
+    raises DependentBasisError, whatever ``tol``.  Every stage then expands
+    its candidates over the inputs through one map, the pseudo-inverse
+    A^+ = R^-1 Q^H of the input matrix A = QR.
+
     Two stages run in a fixed order.  The canonical stage tries uniform
     pairwise superpositions of the specified inputs and, on two qubits, the
-    product states |+>|0> and |i>|i> when they lie in the span.  The
-    product-vector stage then searches the separable inputs of the span
-    directly: on two qubits by their A factor (a Bloch-sphere scan with
-    local refinement, plus the exceptional A factors solved exactly), in
-    other dimensions by alternating projection from the computational
+    product states |+>|0> and |i>|i> when they lie within ``tol`` of the
+    span.  The product-vector stage then searches the separable inputs of
+    the span directly: on two qubits by their A factor (a Bloch-sphere scan
+    with local refinement, plus the exceptional A factors solved exactly),
+    in other dimensions by alternating projection from the computational
     basis, which is not exhaustive.  It is skipped when the canonical stage
     already attains the maximal score of one, and its witness replaces the
     canonical one only when its output entanglement is strictly higher;
@@ -480,26 +478,25 @@ def find_entangling_witness(
         raise ValueError("witness search needs a Realizable verdict")
     if not _coherent_gram_check(verdict, tol):
         raise EnvironmentsDifferError()
-    dims = (spec.dim_a, spec.dim_b)
-    best = _best_witness(spec, _stage_candidates_canonical(spec, tol))
-    if best is None or best[0] < 1.0 - 1e-12:
-        if dims == (2, 2):
-            inputs = _stage_candidates_2x2(spec)
+    a = spec.input_matrix()
+    min_eig = float(np.linalg.eigvalsh(a.conj().T @ a)[0])
+    if min_eig <= DEFAULT_TOL:
+        raise DependentBasisError(min_eig)
+    q, r = np.linalg.qr(a)
+    span_map = np.linalg.solve(r, q.conj().T)
+    best = _best_witness(spec, _stage_candidates_canonical(spec, span_map, tol))
+    if best is None or best.concurrence_out < 1.0 - 1e-12:
+        if (spec.dim_a, spec.dim_b) == (2, 2):
+            inputs = _stage_candidates_2x2(spec, span_map)
         else:
-            inputs = _stage_candidates_projected(spec)
-        found = _best_witness(spec, _span_coefficient_rows(spec, inputs))
-        if found is not None and (best is None or found[0] > best[0]):
+            inputs = _stage_candidates_projected(spec, a @ span_map)
+        inputs = np.array(inputs, dtype=np.complex128).reshape(-1, a.shape[0])
+        found = _best_witness(spec, inputs @ span_map.T)
+        if found is not None and (
+            best is None or found.concurrence_out > best.concurrence_out
+        ):
             best = found
-    if best is None:
-        return None
-    ent_out, _, in_vec, out_vec, coeff, ent_in = best
-    return WitnessRecord(
-        input=PureState(dims, in_vec),
-        output=PureState(dims, out_vec),
-        concurrence_in=ent_in,
-        concurrence_out=ent_out,
-        coefficients=coeff,
-    )
+    return best
 
 
 def _bob_alone_impossible(factors, tol: float) -> bool:
@@ -525,11 +522,7 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     the environment overlaps are all one; absence of a witness is reported
     as such and never promoted to a claim of classical catalysis.
     """
-    result = environment_gram(spec, tol)
-    if isinstance(result, FeasibilityVerdict):
-        verdict = result
-    else:
-        verdict = complete_psd(result, tol)
+    verdict = decide_feasibility(spec, tol)
     factors = _factorize_pairs(spec, tol)
     pair_reports = _pair_intactness(factors, tol)
     intact = all(p.intact for p in pair_reports)
@@ -569,8 +562,7 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
 
 def circular_pair_input() -> PureState:
     """Product state (|0> + i|1>)(|0> + i|1>) / 2 on two qubits."""
-    circ = np.array([1.0, 1.0j], dtype=np.complex128) / math.sqrt(2.0)
-    return PureState((2, 2), np.kron(circ, circ))
+    return PureState((2, 2), _CIRCULAR_PAIR)
 
 
 def deletion_family_sweep(
@@ -581,9 +573,9 @@ def deletion_family_sweep(
     With the third residue fixed to |+> and the first residue angle fixed
     to zero, residues are deletion_residue(0) and deletion_residue(delta)
     with delta = v - u covering [0, 2pi) in ``steps`` points.  Each point
-    runs the full classification and records the residue overlap
-    (1 + e^{i delta}) / 2 together with the output entanglement of the
-    distinguished separable input.
+    decides feasibility and records the residue overlap (1 + e^{i delta}) / 2
+    together with the concurrence of the process output on the
+    distinguished separable input; no witness search runs.
     """
     if steps < 2:
         raise ValueError("sweep needs at least 2 steps")
@@ -593,14 +585,11 @@ def deletion_family_sweep(
         delta = 2.0 * math.pi * k / steps
         residues = (deletion_residue(0.0), deletion_residue(delta), ket_plus())
         spec = deletion_process(residues)
-        report = classify(spec, tol)
-        out = apply_process(spec, report.verdict, probe, tol)
-        a, b, c, d = out.vector
-        conc = 2.0 * abs(a * d - b * c)
+        out = apply_process(spec, decide_feasibility(spec, tol), probe, tol)
         overlap = complex((1.0 + np.exp(1j * delta)) / 2.0)
         points.append(
             DeletionFamilyPoint(
-                u=0.0, v=delta, overlap=overlap, out_concurrence=float(conc)
+                u=0.0, v=delta, overlap=overlap, out_concurrence=concurrence(out)
             )
         )
     return points

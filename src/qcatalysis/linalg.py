@@ -74,10 +74,6 @@ def inner(u, v) -> complex:
     return complex(np.vdot(a, b))
 
 
-def norm(u) -> float:
-    return float(np.linalg.norm(np.asarray(u, dtype=np.complex128)))
-
-
 def phase_aligned_distance(u, v) -> float:
     """Euclidean distance between vectors after optimal global phase on v."""
     a = as_vector(u)

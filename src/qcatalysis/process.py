@@ -17,6 +17,7 @@ process to superposition inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -351,6 +352,16 @@ def _cycle_chord(g: np.ndarray, free, tol: float) -> tuple[complex | None, float
     return c1 + r1 * (c2 - c1) / dist, gap
 
 
+def _psd_violation(worst: float, tol: float) -> FeasibilityVerdict | None:
+    """Infeasible when ``worst``, the smallest eigenvalue over fully determined
+    blocks, is below -tol; its psd_violation has magnitude -worst."""
+    if worst < -tol:
+        return FeasibilityVerdict(
+            INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst)
+        )
+    return None
+
+
 def _checked(g: np.ndarray, tol: float) -> FeasibilityVerdict:
     if float(np.linalg.eigvalsh(g)[0]) >= -tol:
         return FeasibilityVerdict(REALIZABLE, completed_gram=g)
@@ -381,7 +392,8 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
       the gap between them; otherwise the chord is set to a point of both
       and (k, l) is filled by the chordal rule.
     - Any other pattern that is not chordal (five indices or more) is
-      Undetermined.
+      Infeasible with a psd_violation when a fully determined triangle has
+      an eigenvalue below -tol, and Undetermined otherwise.
 
     A completion is Realizable only when its smallest eigenvalue is at
     least -tol; otherwise the verdict is Undetermined, never Infeasible.
@@ -398,10 +410,9 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
             float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
             for c in _order_cliques(known, order)
         )
-        if worst < -tol:
-            return FeasibilityVerdict(
-                INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst)
-            )
+        violation = _psd_violation(worst, tol)
+        if violation is not None:
+            return violation
     elif eg.n == 4:
         free = eg.free_pairs()
         z, gap = _cycle_chord(g, free, tol)
@@ -415,7 +426,12 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
         known[u, v] = known[v, u] = True
         order = _elimination_order(known)
     else:
-        return FeasibilityVerdict(UNDETERMINED)
+        # every fully determined triangle, in one batch
+        t = np.array(list(itertools.combinations(range(eg.n), 3)))
+        i, j, k = t.T
+        t = t[known[i, j] & known[i, k] & known[j, k]]
+        worst = np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0)
+        return _psd_violation(float(worst), tol) or FeasibilityVerdict(UNDETERMINED)
     _chordal_fill(g, known, order, tol)
     return _checked(g, tol)
 
@@ -428,18 +444,16 @@ def decide_feasibility(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> Feasibili
     return complete_psd(result, tol)
 
 
-def environment_vectors(
-    completed_gram: np.ndarray, cutoff: float = _RANK_CUTOFF
-) -> np.ndarray:
+def environment_vectors(completed_gram: np.ndarray) -> np.ndarray:
     """Unit environment states s_i realizing the completed Gram matrix.
 
     Returns an (r, n) matrix S with S^dagger S equal to the Gram matrix,
-    r being its rank at eigenvalue ``cutoff``; column i is s_i in the
+    r being its rank at eigenvalue _RANK_CUTOFF; column i is s_i in the
     minimal environment space.
     """
     g = np.asarray(completed_gram, dtype=np.complex128)
     eigvals, eigvecs = np.linalg.eigh(g)
-    keep = eigvals > cutoff
+    keep = eigvals > _RANK_CUTOFF
     lam = eigvals[keep][::-1]
     w = eigvecs[:, keep][:, ::-1]
     return np.sqrt(lam)[:, None] * w.conj().T
@@ -506,8 +520,9 @@ def _expand_input(spec: ProcessSpec, state: PureState, tol: float) -> np.ndarray
             f"input dims {state.dims} do not match the process "
             f"({spec.dim_a}, {spec.dim_b})"
         )
+    # independence is ProcessSpec's rule, not the user tolerance
     coeff, residual = span_coefficients(
-        [s.vector for s in spec.inputs], state.vector, tol
+        [s.vector for s in spec.inputs], state.vector, DEFAULT_TOL
     )
     if residual > tol:
         raise OutsideSpanError(residual)

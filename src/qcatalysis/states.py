@@ -15,8 +15,6 @@ from .linalg import (
     inner,
 )
 
-GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2}
-
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 _GATE_MATRICES = {
@@ -75,9 +73,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.size
 
-    def amplitude(self, index: int) -> complex:
-        return complex(self.vector[index])
-
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -88,11 +83,12 @@ class GateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if self.name not in GATE_ARITY:
+        if self.name not in _GATE_MATRICES:
             raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.targets) != GATE_ARITY[self.name]:
+        arity = _GATE_MATRICES[self.name].shape[0].bit_length() - 1
+        if len(self.targets) != arity:
             raise ValueError(
-                f"{self.name} acts on {GATE_ARITY[self.name]} subsystem(s), "
+                f"{self.name} acts on {arity} subsystem(s), "
                 f"got targets {self.targets}"
             )
         if len(set(self.targets)) != len(self.targets):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qcatalysis import ProcessSpec, PureState, random_state
+from qcatalysis import ProcessSpec, PureState, ket, random_state, tensor
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -72,3 +72,14 @@ def trace_out_environment(vec: np.ndarray, env_dim: int) -> np.ndarray:
     """System density matrix of a pure system(x)environment vector."""
     w = vec.reshape(-1, env_dim)
     return w @ w.conj().T
+
+
+def near_dependent_identity_spec() -> ProcessSpec:
+    """Identity on |00>, |11> and |0>(|0> + 0.1|1>)/norm.
+
+    The inputs are independent (smallest Gram eigenvalue 4.96e-3) but
+    closer to dependence than a loose user tolerance such as 1e-2.
+    """
+    tilted = PureState((2,), np.array([1.0, 0.1]) / np.hypot(1.0, 0.1))
+    inputs = (ket("00"), ket("11"), tensor(ket("0"), tilted))
+    return ProcessSpec(2, 2, tuple((a, a) for a in inputs))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import near_dependent_identity_spec
 from qcatalysis import (
+    DependentBasisError,
     NOT_CATALYSIS,
     NO_WITNESS_FOUND,
     QUANTUM_CATALYSIS,
@@ -120,6 +122,41 @@ class TestWitnessSearch:
         with pytest.raises(EnvironmentsDifferError):
             find_entangling_witness(spec, verdict)
 
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (cloning_process, tensor(ket_plus(), ket("0"))),
+            (deletion_process, circular_pair_input()),
+        ],
+    )
+    def test_canonical_stage_keeps_only_named_states_in_the_span(self, make, named):
+        # cloning's span holds |+>|0> but not |i>|i>; deletion's the reverse
+        import qcatalysis.analyzer as analyzer
+
+        spec = make()
+        a = spec.input_matrix()
+        rows = analyzer._stage_candidates_canonical(spec, np.linalg.pinv(a), 1e-9)
+        assert rows.shape == (spec.n * (spec.n - 1) // 2 + 1, spec.n)
+        assert np.max(np.abs(a @ rows[-1] - named.vector)) < 1e-12
+
+    def test_dependent_family_is_refused(self):
+        # identity on |00>, |01>, |0+>: realizable, coherent and catalyst
+        # intact, but |0+> is a combination of the other two inputs
+        inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
+        spec = ProcessSpec(
+            2, 2, tuple((a, a) for a in inputs), require_independent_inputs=False
+        )
+        assert decide_feasibility(spec).is_realizable
+        with pytest.raises(DependentBasisError) as exc:
+            classify(spec)
+        assert exc.value.min_gram_eigenvalue <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-2])
+    def test_independence_guard_ignores_the_tolerance(self, tol):
+        report = classify(near_dependent_identity_spec(), tol)
+        assert report.coherence_preserving
+        assert report.classification == NO_WITNESS_FOUND
+
     def test_witness_is_sound(self):
         # the record must reproduce through the process machinery itself
         for spec in (cloning_process(), deletion_process()):
@@ -224,6 +261,19 @@ class TestClassify:
 
 
 class TestDeletionFamilySweep:
+    def test_runs_no_witness_search(self, monkeypatch):
+        import qcatalysis.analyzer as analyzer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep reads one concurrence per point")
+
+        monkeypatch.setattr(analyzer, "find_entangling_witness", refuse)
+        monkeypatch.setattr(analyzer, "product_factorize", refuse)
+        points = deletion_family_sweep(8)
+        assert len(points) == 8
+        for p in points:
+            assert p.out_concurrence == pytest.approx(abs(p.overlap), abs=1e-12)
+
     def test_rejects_tiny_step_count(self):
         with pytest.raises(ValueError):
             deletion_family_sweep(1)

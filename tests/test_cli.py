@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import near_dependent_identity_spec
 from qcatalysis import classify, cloning_process, deletion_process
 from qcatalysis.cli import (
     EXIT_DATA,
@@ -257,6 +258,19 @@ class TestMainEntryPoint:
         save_process_spec(ProcessSpec(2, 3, pairs), path)
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_UNDETERMINED
+
+    @pytest.mark.parametrize("tolerance", ["1e-9", "1e-2"])
+    def test_check_near_dependent_inputs_at_loose_tolerance(self, tolerance, tmp_path, capsys):
+        # the inputs pass the construction rule (smallest Gram eigenvalue
+        # 4.96e-3 > 1e-9); a --tolerance above that eigenvalue must not turn
+        # the witness search into an internal error
+        path = tmp_path / "near.json"
+        save_process_spec(near_dependent_identity_spec(), path)
+        report = tmp_path / "r.json"
+        code = main(["check", str(path), "--tolerance", tolerance, "--output", str(report)])
+        assert code == EXIT_PASS
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_bytes())["classification"] == "no_entangling_witness_found"
 
     @pytest.mark.parametrize("argv", [["run", "cloning"], ["check", "spec.json"]])
     def test_internal_fault_is_not_a_verdict(

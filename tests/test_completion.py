@@ -174,6 +174,29 @@ class TestKnownDefects:
         )
         assert elapsed < 0.5
 
+    def test_non_chordal_five_pairs_around_bad_triangle(self):
+        # the triangle {0, 1, 2} is not PSD; the cycle 0-2-3-4-0 has no chord
+        entries = {
+            (0, 1): 0.9,
+            (1, 2): 0.9,
+            (0, 2): -0.9,
+            (2, 3): 0.1,
+            (3, 4): 0.1,
+            (0, 4): 0.1,
+        }
+        eg = pattern(entries, 5)
+        assert not is_chordal(eg.known)
+        verdict = complete_psd(eg)
+        assert verdict.status == INFEASIBLE
+        cert = verdict.certificate
+        assert cert.reason == "psd_violation"
+        assert cert.pair is None
+        # re-check from the determined block alone
+        block = eg.values[:3, :3]
+        assert eg.known[:3, :3].all()
+        assert cert.magnitude == pytest.approx(-np.linalg.eigvalsh(block)[0], abs=1e-12)
+        assert cert.magnitude == pytest.approx(0.8, abs=1e-12)
+
     def test_four_cycle_with_disjoint_disks(self):
         entries = {(0, 2): 0.9, (1, 2): 0.9, (0, 3): 0.9, (1, 3): -0.9}
         eg = pattern(entries, 4)
@@ -269,6 +292,38 @@ class TestProperties:
         assert cert.reason == "psd_violation"
         assert cert.magnitude >= -np.linalg.eigvalsh(block)[0] - TOL
         assert cert.magnitude == pytest.approx(-worst_determined_clique(eg), abs=1e-12)
+
+    def test_planted_bad_triangle_on_five_pairs_is_infeasible(self):
+        # 200 seeded 5-pair patterns: a non-PSD determined triangle at random
+        # indices, random determined overlaps elsewhere, random free pairs
+        rng = np.random.default_rng(20261018)
+        pairs = list(itertools.combinations(range(5), 2))
+        non_chordal = 0
+        for _ in range(200):
+            g = random_gram(rng, 5, int(rng.integers(1, 6)))
+            triangle = sorted(rng.choice(5, size=3, replace=False).tolist())
+            while True:
+                block = np.eye(3, dtype=complex)
+                for i, j in itertools.combinations(range(3), 2):
+                    block[i, j] = rng.uniform(0.5, 1.0) * np.exp(2j * math.pi * rng.uniform())
+                    block[j, i] = np.conj(block[i, j])
+                if np.linalg.eigvalsh(block)[0] < -1e-3:
+                    break
+            g[np.ix_(triangle, triangle)] = block
+            flags = [
+                bool(rng.integers(2)) and not (i in triangle and j in triangle)
+                for i, j in pairs
+            ]
+            eg = masked(g, flags)
+            non_chordal += not is_chordal(eg.known)
+            verdict = complete_psd(eg)
+            assert verdict.status == INFEASIBLE
+            cert = verdict.certificate
+            assert cert.reason == "psd_violation"
+            assert cert.magnitude >= -np.linalg.eigvalsh(block)[0] - TOL
+            assert cert.magnitude == pytest.approx(-worst_determined_clique(eg), abs=1e-12)
+        # the sweep reaches the patterns no chordal rule covers
+        assert non_chordal >= 20
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_realizable_spec, trace_out_environment
+from helpers import (
+    near_dependent_identity_spec,
+    random_realizable_spec,
+    trace_out_environment,
+)
 from qcatalysis import (
     DependentBasisError,
     EnvironmentGram,
@@ -344,6 +348,19 @@ class TestApplyProcess:
         with pytest.raises(OutsideSpanError) as exc:
             apply_process(spec, verdict, tensor(ket("0"), ket("1")))
         assert exc.value.residual > 0.1
+
+    def test_independence_rule_ignores_the_tolerance(self):
+        # smallest Gram eigenvalue 4.96e-3: independent under the construction
+        # rule, so a loose tol only loosens the span-membership residual
+        spec = near_dependent_identity_spec()
+        verdict = decide_feasibility(spec, 1e-2)
+        bell = PureState((2, 2), np.array([SQ2, 0, 0, SQ2]))
+        out = apply_process(spec, verdict, bell, 1e-2)
+        assert np.max(np.abs(out.vector - bell.vector)) < 1e-12
+        rho = output_density(spec, verdict, bell, 1e-2)
+        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(OutsideSpanError):
+            apply_process(spec, verdict, ket("10"), 1e-2)
 
     def test_differing_environments_rejected(self):
         rng = np.random.default_rng(35)

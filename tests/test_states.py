@@ -81,6 +81,18 @@ class TestApplyGate:
             out = apply_gate(GateSpec("CNOT", (0, 1)), tensor(t, s))
             assert fidelity(out, tensor(t, t)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "name, targets, message",
+        [
+            ("Y", (0,), "unknown gate 'Y'"),
+            ("CNOT", (0,), r"CNOT acts on 2 subsystem\(s\), got targets \(0,\)"),
+            ("H", (0, 1), r"H acts on 1 subsystem\(s\), got targets \(0, 1\)"),
+        ],
+    )
+    def test_gate_spec_rejects_bad_arity(self, name, targets, message):
+        with pytest.raises(ValueError, match=message):
+            GateSpec(name, targets)
+
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(GateSpec("X", (1,)), ket("0"))
