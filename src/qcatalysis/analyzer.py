@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DependentBasisError
+from .linalg import DEFAULT_TOL
 from .process import (
     EnvironmentsDifferError,
     FeasibilityVerdict,
@@ -305,7 +305,7 @@ def _scan(score) -> np.ndarray:
     return x
 
 
-def _stage_candidates_2x2(spec: ProcessSpec, span_map: np.ndarray) -> list[np.ndarray]:
+def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     """Best product inputs x (x) y of the span on two qubits, by rank of the span.
 
     The admissible B factors y of an A factor x are the null space of
@@ -326,15 +326,16 @@ def _stage_candidates_2x2(spec: ProcessSpec, span_map: np.ndarray) -> list[np.nd
     On a line of product vectors (a two-dimensional subspace) the best
     input is the top Takagi vector of the output determinant form.  Every
     candidate is a product vector up to rounding; only the scans maximize
-    over a continuous family on a grid, to the grid's resolution.
-    ``span_map`` is A^+ for the independent inputs A, so the rank is n.
+    over a continuous family on a grid, to the grid's resolution.  The
+    inputs are independent, so the rank is n, and the columns of the spec's
+    ``span_basis`` after the first n are W.
     """
-    u = np.linalg.svd(spec.input_matrix())[0]
+    u = spec.span_basis
     rank = spec.n
     if rank == 1:
         return [u[:, 0]]
     # span vector -> output: B A^+
-    image = spec.output_matrix() @ span_map
+    image = spec.output_matrix() @ spec.span_map
     eye = np.eye(2)
     if rank == 4:
         # the images of x (x) |0> and x (x) |1>, as a linear map of x
@@ -455,12 +456,12 @@ def find_entangling_witness(
 ) -> WitnessRecord | None:
     """Search for a separable input mapped to an entangled output.
 
-    The inputs must be independent under the rule ProcessSpec applies at
-    construction: a family whose Gram matrix has smallest eigenvalue at or
-    below DEFAULT_TOL (one built with ``require_independent_inputs=False``)
-    raises DependentBasisError, whatever ``tol``.  Every stage then expands
-    its candidates over the inputs through one map, the pseudo-inverse
-    A^+ = R^-1 Q^H of the input matrix A = QR.
+    The independence rule and the span map live on ProcessSpec: a family
+    built with ``require_independent_inputs=False`` whose inputs are
+    dependent raises DependentBasisError, whatever ``tol``.  Every stage
+    expands its candidates over the inputs through the spec's one map, its
+    ``span_map`` A^+ = R^-1 Q_1^H; ``tol`` loosens only the residual below
+    which a named state counts as inside the span.
 
     Two stages run in a fixed order.  The canonical stage tries uniform
     pairwise superpositions of the specified inputs and, on two qubits, the
@@ -478,19 +479,15 @@ def find_entangling_witness(
         raise ValueError("witness search needs a Realizable verdict")
     if not _coherent_gram_check(verdict, tol):
         raise EnvironmentsDifferError()
-    a = spec.input_matrix()
-    min_eig = float(np.linalg.eigvalsh(a.conj().T @ a)[0])
-    if min_eig <= DEFAULT_TOL:
-        raise DependentBasisError(min_eig)
-    q, r = np.linalg.qr(a)
-    span_map = np.linalg.solve(r, q.conj().T)
+    span_map = spec.span_map
     best = _best_witness(spec, _stage_candidates_canonical(spec, span_map, tol))
     if best is None or best.concurrence_out < 1.0 - 1e-12:
         if (spec.dim_a, spec.dim_b) == (2, 2):
-            inputs = _stage_candidates_2x2(spec, span_map)
+            inputs = _stage_candidates_2x2(spec)
         else:
-            inputs = _stage_candidates_projected(spec, a @ span_map)
-        inputs = np.array(inputs, dtype=np.complex128).reshape(-1, a.shape[0])
+            q = spec.span_basis[:, : spec.n]
+            inputs = _stage_candidates_projected(spec, q @ q.conj().T)
+        inputs = np.array(inputs, dtype=np.complex128).reshape(-1, span_map.shape[1])
         found = _best_witness(spec, inputs @ span_map.T)
         if found is not None and (
             best is None or found.concurrence_out > best.concurrence_out

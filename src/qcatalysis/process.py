@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DependentBasisError, span_coefficients
+from .linalg import DEFAULT_TOL, DependentBasisError
 from .states import PureState
 
 REALIZABLE = "realizable"
@@ -64,12 +65,14 @@ class EnvironmentsDifferError(ValueError):
 class ProcessSpec:
     """Ordered (input, output) pure-state pairs on a fixed A(x)B split.
 
-    Inputs must be linearly independent: construction rejects families
-    whose Gram matrix has smallest eigenvalue at or below 1e-9, reporting
-    that eigenvalue.  ``require_independent_inputs=False`` admits a
-    dependent family so that the overlap-ratio feasibility argument (which
-    never needs independence) can certify a negative control; the
-    span-based operations still refuse such a family when reached.
+    The spec owns the span of its inputs and its one independence rule: a
+    smallest input Gram eigenvalue at or below DEFAULT_TOL raises
+    DependentBasisError, whatever tolerance a later call is given.  On an
+    independent family the check and one complete QR A = QR run once, cached.
+    ``require_independent_inputs=False`` admits a dependent family so that
+    the overlap-ratio feasibility argument (which never needs independence)
+    can certify a negative control; every span-based operation still
+    raises on it when first used.
     """
 
     dim_a: int
@@ -92,10 +95,7 @@ class ProcessSpec:
         object.__setattr__(self, "dim_b", want[1])
         object.__setattr__(self, "pairs", pairs)
         if self.require_independent_inputs:
-            gram = gram_matrix([a for a, _ in pairs])
-            min_eig = float(np.linalg.eigvalsh(gram)[0])
-            if min_eig <= DEFAULT_TOL:
-                raise DependentBasisError(min_eig)
+            self._span  # raises DependentBasisError for a dependent family
 
     @property
     def n(self) -> int:
@@ -115,6 +115,28 @@ class ProcessSpec:
 
     def output_matrix(self) -> np.ndarray:
         return np.column_stack([b.vector for _, b in self.pairs])
+
+    @cached_property
+    def _span(self) -> tuple[np.ndarray, np.ndarray]:
+        a = self.input_matrix()
+        min_eig = float(np.linalg.eigvalsh(a.conj().T @ a)[0])
+        if min_eig <= DEFAULT_TOL:
+            raise DependentBasisError(min_eig)
+        q, r = np.linalg.qr(a, mode="complete")
+        span_map = np.linalg.solve(r[: self.n], q[:, : self.n].conj().T)
+        q.setflags(write=False)
+        span_map.setflags(write=False)
+        return q, span_map
+
+    @property
+    def span_basis(self) -> np.ndarray:
+        """Unitary Q of A = QR: n columns spanning the inputs, then the complement."""
+        return self._span[0]
+
+    @property
+    def span_map(self) -> np.ndarray:
+        """A^+ = R^-1 Q_1^H, taking a vector of the span to its input coefficients."""
+        return self._span[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,11 +481,6 @@ def environment_vectors(completed_gram: np.ndarray) -> np.ndarray:
     return np.sqrt(lam)[:, None] * w.conj().T
 
 
-def _orthonormal_complement(q: np.ndarray) -> np.ndarray:
-    u, _, _ = np.linalg.svd(q, full_matrices=True)
-    return u[:, q.shape[1]:]
-
-
 def construct_isometry(
     spec: ProcessSpec,
     verdict: FeasibilityVerdict,
@@ -471,42 +488,33 @@ def construct_isometry(
 ) -> np.ndarray:
     """Explicit unitary on A(x)B(x)E realizing a Realizable verdict.
 
-    The environment has dimension rank(completed Gram); the unitary sends
-    a_i (x) e0 to b_i (x) s_i and is extended from an orthonormalization
-    of the input family to the full space.
+    The environment has dimension r = rank(completed Gram); the unitary
+    sends a_i (x) e0 to b_i (x) s_i, the columns of Y.  ``tol`` bounds the
+    mismatch of the input and dressed-output Gram matrices, never input
+    independence, which is ProcessSpec's rule.  As a_i (x) e0 = (Q_1 (x) e0) R,
+    the columns Q_1 (x) e0 go to Y R^-1 = Y A^+ Q_1; the rest of Q (x) I_r
+    goes to an orthonormal complement of those.
     """
     if not verdict.is_realizable:
         raise ValueError("construct_isometry needs a Realizable verdict")
+    q = spec.span_basis
     sig = environment_vectors(verdict.completed_gram)
     r = sig.shape[0]
-    d = spec.dim_a * spec.dim_b
+    d, n = q.shape[0], spec.n
     a = spec.input_matrix()
-    b = spec.output_matrix()
-    e0 = np.zeros(r, dtype=np.complex128)
-    e0[0] = 1.0
-    x = np.column_stack([np.kron(a[:, i], e0) for i in range(spec.n)])
-    y = np.column_stack([np.kron(b[:, i], sig[:, i]) for i in range(spec.n)])
-    gx = x.conj().T @ x
-    gy = y.conj().T @ y
-    mismatch = float(np.max(np.abs(gx - gy)))
+    # column i is b_i (x) s_i
+    y = (spec.output_matrix()[:, None, :] * sig[None, :, :]).reshape(d * r, n)
+    mismatch = float(np.max(np.abs(a.conj().T @ a - y.conj().T @ y)))
     if mismatch > max(tol, 1e-9) * 10.0:
         raise RuntimeError(
             f"input and dressed-output Gram matrices differ by {mismatch:.3e}; "
             "this indicates an inconsistent verdict"
         )
-    min_eig = float(np.linalg.eigvalsh(gx)[0])
-    if min_eig <= tol:
-        raise DependentBasisError(min_eig)
-    qx, rx = np.linalg.qr(x)
-    ph = rx.diagonal() / np.abs(rx.diagonal())
-    qx = qx * ph[None, :]
-    rx = ph.conj()[:, None] * rx
-    qy = np.linalg.solve(rx.T, y.T).T
-    full_x = np.hstack([qx, _orthonormal_complement(qx)])
-    full_y = np.hstack([qy, _orthonormal_complement(qy)])
-    v = full_y @ full_x.conj().T
-    assert v.shape == (d * r, d * r)
-    return v
+    qy = y @ spec.span_map @ q[:, :n]
+    full_y = np.hstack([qy, np.linalg.svd(qy)[0][:, n:]])
+    # Q (x) I_r with its columns ordered by environment index: Q (x) e0 first
+    full_x = np.kron(q, np.eye(r)).reshape(d * r, d, r).transpose(0, 2, 1)
+    return full_y @ full_x.reshape(d * r, d * r).conj().T
 
 
 def _coherent_gram_check(verdict: FeasibilityVerdict, tol: float) -> bool:
@@ -520,10 +528,8 @@ def _expand_input(spec: ProcessSpec, state: PureState, tol: float) -> np.ndarray
             f"input dims {state.dims} do not match the process "
             f"({spec.dim_a}, {spec.dim_b})"
         )
-    # independence is ProcessSpec's rule, not the user tolerance
-    coeff, residual = span_coefficients(
-        [s.vector for s in spec.inputs], state.vector, DEFAULT_TOL
-    )
+    coeff = spec.span_map @ state.vector
+    residual = float(np.linalg.norm(state.vector - spec.input_matrix() @ coeff))
     if residual > tol:
         raise OutsideSpanError(residual)
     return coeff
@@ -539,7 +545,8 @@ def apply_process(
 
     Valid only when all environment overlaps equal one: the environment
     then decouples and the process acts linearly, sending sum_i c_i a_i
-    to sum_i c_i b_i.
+    to sum_i c_i b_i, with c = A^+ v from the spec's ``span_map``.  ``tol``
+    bounds only the residual |v - A c| (OutsideSpanError), never independence.
     """
     if not verdict.is_realizable:
         raise ValueError("apply_process needs a Realizable verdict")

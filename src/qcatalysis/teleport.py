@@ -15,9 +15,6 @@ import numpy as np
 
 from .states import GateSpec, PureState, apply_gate, tensor
 
-ENUMERATE = "enumerate"
-SAMPLE = "sample"
-
 
 @dataclass(frozen=True)
 class ResourceLedger:
@@ -78,20 +75,7 @@ def measure_out(
     return branches
 
 
-def _pick_branches(branches, mode: str, seed: int):
-    if mode == ENUMERATE:
-        return branches
-    if mode == SAMPLE:
-        rng = np.random.default_rng(seed)
-        probs = np.array([b[1] for b in branches])
-        choice = rng.choice(len(branches), p=probs / probs.sum())
-        return [branches[int(choice)]]
-    raise ValueError(f"unknown mode {mode!r} (expected 'enumerate' or 'sample')")
-
-
-def teleport(
-    state: PureState, mode: str = ENUMERATE, seed: int = 0
-) -> tuple[list[BranchOutcome], ResourceLedger]:
+def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     """Teleport a single-qubit state through one shared entangled pair.
 
     The sender interacts the input with her half of the pair and measures
@@ -106,9 +90,7 @@ def teleport(
     full = apply_gate(GateSpec("CNOT", (0, 1)), full)
     full = apply_gate(GateSpec("H", (0,)), full)
     outcomes = []
-    for bits, prob, remaining in _pick_branches(
-        measure_out(full, (0, 1)), mode, seed
-    ):
+    for bits, prob, remaining in measure_out(full, (0, 1)):
         m0, m1 = bits
         post = remaining
         if m1:
@@ -119,9 +101,7 @@ def teleport(
     return outcomes, TELEPORT_LEDGER
 
 
-def nonlocal_cnot(
-    state: PureState, mode: str = ENUMERATE, seed: int = 0
-) -> tuple[list[BranchOutcome], ResourceLedger]:
+def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     """Apply CNOT between remote qubits using one shared entangled pair.
 
     Register order (A, B, a1, b1) with the pair on (a1, b1).  A CNOT from
@@ -135,16 +115,14 @@ def nonlocal_cnot(
     full = tensor(state, bell_pair())
     full = apply_gate(GateSpec("CNOT", (0, 2)), full)
     outcomes = []
-    for (m,), p_m, after_m in _pick_branches(measure_out(full, (2,)), mode, seed):
+    for (m,), p_m, after_m in measure_out(full, (2,)):
         # remaining register order (A, B, b1)
         stage = after_m
         if m:
             stage = apply_gate(GateSpec("X", (2,)), stage)
         stage = apply_gate(GateSpec("CNOT", (2, 1)), stage)
         stage = apply_gate(GateSpec("H", (2,)), stage)
-        for (n,), p_n, after_n in _pick_branches(
-            measure_out(stage, (2,)), mode, seed + 1
-        ):
+        for (n,), p_n, after_n in measure_out(stage, (2,)):
             post = after_n
             if n:
                 post = apply_gate(GateSpec("Z", (0,)), post)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ IDENTITY_FILE = {
         {"in": [[0, 0], [0, 0], [1, 0], [0, 0]], "out": [[0, 0], [0, 0], [1, 0], [0, 0]]},
     ],
 }
+
+
+# the default JSON report of every scenario, as committed; regenerate a file
+# only for a deliberate change of the report
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
 
 
 def write_json(tmp_path, name, payload):
@@ -79,6 +85,11 @@ class TestEmission:
         two = emit_report(run_scenario("cloning", config)[0], "json")
         assert one == two
         assert json.loads(one)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_json_matches_golden_report(self, name):
+        payload = emit_report(run_scenario(name, RunConfig())[0], "json")
+        assert payload == (GOLDEN_REPORTS / f"{name}.json").read_bytes()
 
     def test_unit_concurrence_fixed_format(self):
         doc, _ = run_scenario("cloning", RunConfig())

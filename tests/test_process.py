@@ -361,6 +361,37 @@ class TestApplyProcess:
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(OutsideSpanError):
             apply_process(spec, verdict, ket("10"), 1e-2)
+        v = construct_isometry(spec, verdict, 1e-2)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[0]), atol=1e-9)
+        sig = environment_vectors(verdict.completed_gram)
+        e0 = np.zeros(sig.shape[0], dtype=complex)
+        e0[0] = 1.0
+        for i, (a, b) in enumerate(spec.pairs):
+            got = v @ np.kron(a.vector, e0)
+            assert np.max(np.abs(got - np.kron(b.vector, sig[:, i]))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda spec, verdict: apply_process(spec, verdict, spec.inputs[0]),
+            lambda spec, verdict: output_density(spec, verdict, spec.inputs[0]),
+            lambda spec, verdict: construct_isometry(spec, verdict, 1e-2),
+        ],
+        ids=["apply_process", "output_density", "construct_isometry"],
+    )
+    def test_dependent_family_is_refused(self, operation):
+        # identity on |00>, |01>, |0+>: realizable and coherent, but |0+> is a
+        # combination of the other two inputs, so every span-based entry
+        # point refuses it by ProcessSpec's rule, whatever tol
+        inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
+        spec = ProcessSpec(
+            2, 2, tuple((a, a) for a in inputs), require_independent_inputs=False
+        )
+        verdict = decide_feasibility(spec)
+        assert verdict.is_realizable
+        with pytest.raises(DependentBasisError) as exc:
+            operation(spec, verdict)
+        assert exc.value.min_gram_eigenvalue <= 1e-9
 
     def test_differing_environments_rejected(self):
         rng = np.random.default_rng(35)

@@ -45,20 +45,9 @@ class TestTeleport:
             for b in branches:
                 assert fidelity(b.post_state, state) >= 1.0 - 1e-12
 
-    def test_sample_mode_is_seeded(self):
-        state = ket_plus()
-        one, _ = teleport(state, mode="sample", seed=5)
-        two, _ = teleport(state, mode="sample", seed=5)
-        assert len(one) == len(two) == 1
-        assert one[0].measurement_bits == two[0].measurement_bits
-
     def test_rejects_multi_qubit_input(self):
         with pytest.raises(ValueError):
             teleport(bell_pair())
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            teleport(ket("0"), mode="montecarlo")
 
 
 class TestNonlocalCnot:
@@ -103,7 +92,3 @@ class TestNonlocalCnot:
             assert ledger.ebits_consumed == 1
             assert ledger.cbits_a_to_b == 1
             assert ledger.cbits_b_to_a == 1
-
-    def test_sample_mode_returns_single_branch(self):
-        branches, _ = nonlocal_cnot(tensor(ket("0"), ket("0")), mode="sample", seed=3)
-        assert len(branches) == 1
