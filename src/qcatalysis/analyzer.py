@@ -9,7 +9,6 @@ transmission of an arbitrary qubit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,13 +24,11 @@ from .process import (
     decide_feasibility,
 )
 from .states import (
-    EntangledStateError,
     PureState,
+    _schmidt,
     concurrence,
-    fidelity,
     ket,
     ket_plus,
-    product_factorize,
     standard_triple,
     tensor,
 )
@@ -159,29 +156,29 @@ def deletion_residue(angle: float) -> PureState:
     return PureState((2,), np.array([(1.0 + w) / 2.0, (1.0 - w) / 2.0]))
 
 
-def _factorize_pairs(spec: ProcessSpec, tol: float):
-    """Product factors (A, B) of every input and output, None if entangled."""
+def _catalyst_checks(spec: ProcessSpec, tol: float) -> tuple[tuple[PairIntactness, ...], bool]:
+    """Per-pair intactness and the Bob flag, from one Schmidt decomposition.
 
-    def factors(s):
-        try:
-            return product_factorize(s, 1, tol)
-        except EntangledStateError:
-            return None
-
-    return [(factors(a), factors(b)) for a, b in spec.pairs]
-
-
-def _pair_intactness(factors, tol: float) -> tuple[PairIntactness, ...]:
-    reports = []
-    for idx, (f_in, f_out) in enumerate(factors):
-        fid = None
-        if f_in is not None and f_out is not None:
-            fid = fidelity(f_in[0], f_out[0])
-        intact = fid is not None and fid >= 1.0 - tol
-        reports.append(
-            PairIntactness(idx, f_in is not None, f_out is not None, fid, intact)
-        )
-    return tuple(reports)
+    A state is a product when its second Schmidt coefficient is at most
+    ``tol``.  The Bob flag is set when two pairs whose states are all
+    products share their input B factor (fidelity at least 1 - tol) but
+    not their output one (fidelity at most 1 - tol).
+    """
+    n = spec.n
+    rows = np.concatenate([spec.input_matrix().T, spec.output_matrix().T])
+    s, a, b = _schmidt(rows, spec.dim_a, spec.dim_b)
+    product = s[:, 1] <= tol
+    both = product[:n] & product[n:]
+    overlaps = np.minimum(np.abs(np.sum(a[:n].conj() * a[n:], axis=1)) ** 2, 1.0)
+    fids = [float(f) if ok else None for f, ok in zip(overlaps, both)]
+    reports = tuple(
+        PairIntactness(i, bool(product[i]), bool(product[n + i]), f, ok and f >= 1.0 - tol)
+        for i, (f, ok) in enumerate(zip(fids, both.tolist()))
+    )
+    b_in, b_out = b[:n][both], b[n:][both]
+    same_in = np.abs(b_in.conj() @ b_in.T) ** 2 >= 1.0 - tol
+    distinct_out = np.abs(b_out.conj() @ b_out.T) ** 2 <= 1.0 - tol
+    return reports, bool(np.any(np.triu(same_in & distinct_out, 1)))
 
 
 def catalyst_intact(
@@ -190,9 +187,11 @@ def catalyst_intact(
     """Per-pair check that the first factor survives unchanged.
 
     A pair is intact when both its input and output factorize across the
-    A|B cut and the two A factors agree up to global phase.
+    A|B cut (second Schmidt coefficient at most ``tol``) and the two A
+    factors agree up to global phase (fidelity at least 1 - ``tol``).  One
+    batched Schmidt decomposition of the 2n states decides every pair.
     """
-    return _pair_intactness(_factorize_pairs(spec, tol), tol)
+    return _catalyst_checks(spec, tol)[0]
 
 
 def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -201,10 +200,7 @@ def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray
     Equals the two-qubit concurrence when both sides are qubits; zero
     exactly for product states in general.
     """
-    mats = vecs.reshape(vecs.shape[0], dim_a, dim_b)
-    s = np.linalg.svd(mats, compute_uv=False)
-    if s.shape[1] < 2:
-        return np.zeros(vecs.shape[0])
+    s = _schmidt(vecs, dim_a, dim_b)[0]
     return np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0)
 
 
@@ -496,21 +492,6 @@ def find_entangling_witness(
     return best
 
 
-def _bob_alone_impossible(factors, tol: float) -> bool:
-    """True when two inputs share their B factor but the outputs do not."""
-    b_factors = [
-        (f_in[1], f_out[1])
-        for f_in, f_out in factors
-        if f_in is not None and f_out is not None
-    ]
-    for (in_i, out_i), (in_j, out_j) in itertools.combinations(b_factors, 2):
-        same_in = fidelity(in_i, in_j) >= 1.0 - tol
-        distinct_out = fidelity(out_i, out_j) <= 1.0 - tol
-        if same_in and distinct_out:
-            return True
-    return False
-
-
 def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     """Full catalysis verdict for a specified process.
 
@@ -520,11 +501,9 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     as such and never promoted to a claim of classical catalysis.
     """
     verdict = decide_feasibility(spec, tol)
-    factors = _factorize_pairs(spec, tol)
-    pair_reports = _pair_intactness(factors, tol)
+    pair_reports, bob_flag = _catalyst_checks(spec, tol)
     intact = all(p.intact for p in pair_reports)
     coherent = verdict.is_realizable and _coherent_gram_check(verdict, tol)
-    bob_flag = _bob_alone_impossible(factors, tol)
 
     witness = None
     reason = None

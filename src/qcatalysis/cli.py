@@ -94,8 +94,10 @@ class RunConfig:
     steps: int = 64
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise UsageError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise UsageError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if self.format not in ("json", "text"):
             raise UsageError(f"format must be 'json' or 'text', got {self.format!r}")
         if self.steps < 2:
@@ -584,7 +586,7 @@ def _parse_amplitudes(raw, field: str, dim: int, tol: float) -> np.ndarray:
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise SpecFileError(field, "amplitudes must be finite")
     n = float(np.linalg.norm(vec))
-    if abs(n - 1.0) > tol:
+    if n == 0.0 or abs(n - 1.0) > tol:
         raise SpecFileError(field, f"state is not normalized (norm {n:.12f})")
     return vec / n
 

@@ -118,7 +118,7 @@ def tensor(*states: PureState) -> PureState:
     vec = np.ones(1, dtype=np.complex128)
     for s in states:
         dims = dims + s.dims
-        vec = np.kron(vec, s.vector)
+        vec = np.multiply.outer(vec, s.vector).ravel()
     return PureState(dims, vec)
 
 
@@ -136,6 +136,17 @@ def standard_triple(kind: str) -> tuple[PureState, PureState, PureState]:
     raise ValueError(f"unknown state family {kind!r} (expected 'source' or 'target')")
 
 
+def _gate(name: str, targets: tuple[int, ...], reg: np.ndarray) -> np.ndarray:
+    """Apply a named gate to the ``targets`` axes of a register array.
+
+    ``reg`` has one axis per subsystem and need not be normalized.
+    """
+    k = len(targets)
+    u = _GATE_MATRICES[name].reshape((2,) * (2 * k))
+    out = np.tensordot(u, reg, axes=(range(k, 2 * k), targets))
+    return np.moveaxis(out, range(k), targets)
+
+
 def apply_gate(gate: GateSpec, state: PureState) -> PureState:
     """Apply a named gate to the targeted subsystems, identity elsewhere."""
     n = len(state.dims)
@@ -147,16 +158,8 @@ def apply_gate(gate: GateSpec, state: PureState) -> PureState:
                 f"gate {gate.name} targets qubit subsystems, "
                 f"subsystem {t} has dimension {state.dims[t]}"
             )
-    u = _GATE_MATRICES[gate.name]
-    k = len(gate.targets)
-    arr = state.vector.reshape(state.dims)
-    arr = np.moveaxis(arr, gate.targets, range(k))
-    moved_shape = arr.shape
-    arr = u @ arr.reshape(2**k, -1)
-    arr = np.moveaxis(arr.reshape(moved_shape), range(k), gate.targets)
-    vec = arr.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    return PureState(state.dims, vec)
+    reg = _gate(gate.name, gate.targets, state.vector.reshape(state.dims))
+    return PureState(state.dims, reg)
 
 
 def _split_shape(state: PureState, split: int) -> tuple[int, int]:
@@ -189,31 +192,38 @@ def concurrence(state: PureState) -> float:
     return min(2.0 * abs(a * d - b * c), 1.0)
 
 
+def _schmidt(vecs: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, ...]:
+    """Schmidt decomposition of every row of ``vecs`` across dim_a | dim_b.
+
+    Returns each row's nonincreasing Schmidt coefficients followed by one
+    zero (so a second coefficient always exists) and its leading unit A
+    and B factors a and b: the row is s[0] a (x) b plus smaller terms.
+    """
+    u, s, vh = np.linalg.svd(vecs.reshape(-1, dim_a, dim_b))
+    return np.concatenate([s, np.zeros((len(s), 1))], axis=1), u[:, :, 0], vh[:, 0, :]
+
+
 def product_factorize(
     state: PureState, split: int = 1, tol: float = DEFAULT_TOL
 ) -> tuple[PureState, PureState]:
     """Split a product state into its two factors across the cut.
 
-    The first factor is normalized with its first nonzero amplitude real
-    positive; any residual global phase lives in the second factor, so
-    ``tensor(factorA, factorB)`` reproduces the input.  Raises
-    EntangledStateError when the second Schmidt coefficient exceeds ``tol``.
+    The factors are the leading Schmidt vectors of the decomposition the
+    catalyst checks run on all their states at once.  The first factor is
+    normalized with its first nonzero amplitude real positive and the
+    second carries the opposite phase, so ``tensor(factorA, factorB)``
+    reproduces the input.  Raises EntangledStateError when the second
+    Schmidt coefficient exceeds ``tol``.
     """
     da, db = _split_shape(state, split)
-    m = state.vector.reshape(da, db)
-    u, s, _ = np.linalg.svd(m)
-    if s.size > 1 and s[1] > tol:
+    s, factor_a, factor_b = (x[0] for x in _schmidt(state.vector, da, db))
+    if s[1] > tol:
         raise EntangledStateError(s[1])
-    factor_a = u[:, 0]
-    for amp in factor_a:
-        if abs(amp) > 1e-12:
-            factor_a = factor_a * (amp.conjugate() / abs(amp))
-            break
-    factor_b = factor_a.conj() @ m
-    factor_b = factor_b / np.linalg.norm(factor_b)
+    lead = factor_a[np.flatnonzero(np.abs(factor_a) > 1e-12)[0]]
+    phase = lead.conjugate() / abs(lead)
     return (
-        PureState(state.dims[:split], factor_a),
-        PureState(state.dims[split:], factor_b),
+        PureState(state.dims[:split], factor_a * phase),
+        PureState(state.dims[split:], factor_b * phase.conjugate()),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GateSpec, PureState, apply_gate, tensor
+from .states import PureState, _gate
 
 
 @dataclass(frozen=True)
@@ -38,41 +38,19 @@ TELEPORT_LEDGER = ResourceLedger(ebits_consumed=1, cbits_a_to_b=2, cbits_b_to_a=
 NONLOCAL_CNOT_LEDGER = ResourceLedger(ebits_consumed=1, cbits_a_to_b=1, cbits_b_to_a=1)
 
 
+# (|00> + |11>) / sqrt(2) as a register array, one axis per qubit
+_BELL = np.eye(2, dtype=np.complex128) / math.sqrt(2.0)
+
+
 def bell_pair() -> PureState:
     """(|00> + |11>) / sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    return PureState((2, 2), np.array([inv, 0.0, 0.0, inv]))
+    return PureState((2, 2), _BELL)
 
 
-def measure_out(
-    state: PureState, indices: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], float, PureState]]:
-    """Computational-basis measurement removing the measured subsystems.
-
-    Returns (bits, probability, conditional state of the rest) for every
-    outcome with nonvanishing probability.
-    """
-    idx = tuple(indices)
-    rest = [i for i in range(len(state.dims)) if i not in idx]
-    arr = state.vector.reshape(state.dims)
-    arr = np.moveaxis(arr, idx, range(len(idx)))
-    mdims = [state.dims[i] for i in idx]
-    arr = arr.reshape(math.prod(mdims), -1)
-    rest_dims = tuple(state.dims[i] for i in rest)
-    branches = []
-    for outcome in range(arr.shape[0]):
-        row = arr[outcome]
-        p = float(np.vdot(row, row).real)
-        if p < 1e-15:
-            continue
-        bits = []
-        rem = outcome
-        for d in reversed(mdims):
-            bits.append(rem % d)
-            rem //= d
-        bits.reverse()
-        branches.append((tuple(bits), p, PureState(rest_dims, row / math.sqrt(p))))
-    return branches
+def _branch(bits: tuple[int, ...], amplitudes: np.ndarray) -> BranchOutcome:
+    """Branch of unnormalized ``amplitudes``: probability is their squared norm."""
+    p = float(np.vdot(amplitudes, amplitudes).real)
+    return BranchOutcome(bits, p, PureState(amplitudes.shape, amplitudes / math.sqrt(p)))
 
 
 def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
@@ -82,22 +60,23 @@ def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     both qubits in the Bell basis (CNOT, Hadamard, computational read-out,
     four branches of probability 1/4); the receiver applies the X/Z
     correction named by the two classical bits.  Every branch reproduces
-    the input exactly up to global phase.
+    the input exactly up to global phase.  One register array with axes
+    (input, sender's half, receiver's half) is stepped; a read-out indexes
+    the measured axes, and only the branch states become PureStates.
     """
     if state.dims != (2,):
         raise ValueError(f"teleport expects a single qubit, got dims {state.dims}")
-    full = tensor(state, bell_pair())
-    full = apply_gate(GateSpec("CNOT", (0, 1)), full)
-    full = apply_gate(GateSpec("H", (0,)), full)
+    reg = np.multiply.outer(state.vector, _BELL)
+    reg = _gate("CNOT", (0, 1), reg)
+    reg = _gate("H", (0,), reg)
     outcomes = []
-    for bits, prob, remaining in measure_out(full, (0, 1)):
-        m0, m1 = bits
-        post = remaining
+    for m0, m1 in np.ndindex(2, 2):
+        post = reg[m0, m1]
         if m1:
-            post = apply_gate(GateSpec("X", (0,)), post)
+            post = _gate("X", (0,), post)
         if m0:
-            post = apply_gate(GateSpec("Z", (0,)), post)
-        outcomes.append(BranchOutcome(bits, prob, post))
+            post = _gate("Z", (0,), post)
+        outcomes.append(_branch((m0, m1), post))
     return outcomes, TELEPORT_LEDGER
 
 
@@ -109,22 +88,24 @@ def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger
     to Bob, who corrects b1 and applies CNOT from b1 onto B; measuring b1
     in the |+>/|-> basis sends one bit back, fixing a phase on A.  Every
     branch equals CNOT(A -> B) applied to the input, up to global phase.
+    One register array is stepped, a measurement indexes its axis, and
+    only the branch states become PureStates.
     """
     if state.dims != (2, 2):
         raise ValueError(f"nonlocal_cnot expects two qubits, got dims {state.dims}")
-    full = tensor(state, bell_pair())
-    full = apply_gate(GateSpec("CNOT", (0, 2)), full)
+    reg = np.multiply.outer(state.vector.reshape(2, 2), _BELL)
+    reg = _gate("CNOT", (0, 2), reg)
     outcomes = []
-    for (m,), p_m, after_m in measure_out(full, (2,)):
+    for m in (0, 1):
         # remaining register order (A, B, b1)
-        stage = after_m
+        stage = reg[:, :, m]
         if m:
-            stage = apply_gate(GateSpec("X", (2,)), stage)
-        stage = apply_gate(GateSpec("CNOT", (2, 1)), stage)
-        stage = apply_gate(GateSpec("H", (2,)), stage)
-        for (n,), p_n, after_n in measure_out(stage, (2,)):
-            post = after_n
+            stage = _gate("X", (2,), stage)
+        stage = _gate("CNOT", (2, 1), stage)
+        stage = _gate("H", (2,), stage)
+        for n in (0, 1):
+            post = stage[:, :, n]
             if n:
-                post = apply_gate(GateSpec("Z", (0,)), post)
-            outcomes.append(BranchOutcome((m, n), p_m * p_n, post))
+                post = _gate("Z", (0,), post)
+            outcomes.append(_branch((m, n), post))
     return outcomes, NONLOCAL_CNOT_LEDGER

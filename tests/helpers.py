@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from qcatalysis import ProcessSpec, PureState, ket, random_state, tensor
+from qcatalysis import (
+    DependentBasisError,
+    ProcessSpec,
+    PureState,
+    ket,
+    random_state,
+    tensor,
+)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -66,6 +73,60 @@ def random_realizable_spec(
             vec[:n] = factor[:, i]
             inputs.append(PureState((dim_a, dim_b), vec / np.linalg.norm(vec)))
         return ProcessSpec(dim_a, dim_b, tuple(zip(inputs, outputs))), env_gram
+
+
+def random_factored_spec(rng: np.random.Generator) -> ProcessSpec:
+    """Random pairs on 2x2, 2x3 or 3x2 that probe the catalyst checks.
+
+    n is 1 to 4.  A state is entangled with probability 0.15, otherwise a
+    product whose A and B factors come from a pool of two per side with
+    probability 3/4 (so pairs share factors) or are fresh.  An output keeps
+    its input's A factor, times a phase, with probability 1/2.  A kept A
+    factor (with probability 1/2), a pooled factor (1/4) or a product state
+    (0.15) is nudged off by 10^-8 to 10^-1, which puts Schmidt coefficients
+    and fidelities on either side of every tolerance.  Inputs are redrawn
+    until they are independent.
+    """
+    dim_a, dim_b = ((2, 2), (2, 3), (3, 2))[int(rng.integers(3))]
+
+    def unit(dim, scale=1.0, around=0.0):
+        v = around + scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        return v / np.linalg.norm(v)
+
+    pool_a = [unit(dim_a), unit(dim_a)]
+    pool_b = [unit(dim_b), unit(dim_b)]
+
+    def nudged(vec, chance):
+        if rng.random() >= chance:
+            return vec
+        return unit(vec.size, 10.0 ** rng.uniform(-8.0, -1.0) / 2.0, vec)
+
+    def factor(pool):
+        if rng.random() < 0.75:
+            return nudged(pool[int(rng.integers(2))], 0.25)
+        return unit(pool[0].size)
+
+    def state(keep=None):
+        """A state and its A factor (None when entangled)."""
+        if rng.random() < 0.15:
+            return unit(dim_a * dim_b), None
+        if keep is not None and rng.random() < 0.5:
+            a = nudged(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * keep, 0.5)
+        else:
+            a = factor(pool_a)
+        return nudged(np.multiply.outer(a, factor(pool_b)).ravel(), 0.15), a
+
+    n = int(rng.integers(1, 5))
+    while True:
+        pairs = []
+        for _ in range(n):
+            vin, a = state()
+            vout = state(a)[0]
+            pairs.append(tuple(PureState((dim_a, dim_b), v) for v in (vin, vout)))
+        try:
+            return ProcessSpec(dim_a, dim_b, tuple(pairs))
+        except DependentBasisError:
+            continue
 
 
 def trace_out_environment(vec: np.ndarray, env_dim: int) -> np.ndarray:

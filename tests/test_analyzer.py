@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import near_dependent_identity_spec
+from helpers import near_dependent_identity_spec, random_factored_spec
 from qcatalysis import (
     DependentBasisError,
+    EntangledStateError,
     NOT_CATALYSIS,
     NO_WITNESS_FOUND,
     QUANTUM_CATALYSIS,
@@ -21,11 +23,13 @@ from qcatalysis import (
     deletion_family_sweep,
     deletion_process,
     deletion_residue,
+    fidelity,
     find_entangling_witness,
     inner,
     ket,
     ket_plus,
     phase_aligned_distance,
+    product_factorize,
     tensor,
     uninformed_cloning_process,
 )
@@ -224,20 +228,90 @@ class TestClassify:
         assert rho.purity() < 1.0 - 1e-3
 
     def test_factorizes_each_state_once(self, monkeypatch):
+        # catalyst_intact decomposes the 2n states in one batch, and neither
+        # it nor classify factorizes a state into PureStates; both agree
+        # with a reference built from product_factorize and fidelity
+        import qcatalysis
         import qcatalysis.analyzer as analyzer
+        import qcatalysis.states as states
 
-        calls = []
-        real = analyzer.product_factorize
+        def reference(spec, tol):
+            def factors(s):
+                try:
+                    return product_factorize(s, 1, tol)
+                except EntangledStateError:
+                    return None
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+            rows, b_factors = [], []
+            for a, b in spec.pairs:
+                f_in, f_out = factors(a), factors(b)
+                fid = None
+                if f_in is not None and f_out is not None:
+                    fid = fidelity(f_in[0], f_out[0])
+                    b_factors.append((f_in[1], f_out[1]))
+                rows.append((f_in is not None, f_out is not None, fid))
+            bob = any(
+                fidelity(in_i, in_j) >= 1.0 - tol and fidelity(out_i, out_j) <= 1.0 - tol
+                for (in_i, out_i), (in_j, out_j) in itertools.combinations(b_factors, 2)
+            )
+            return rows, bob
 
-        monkeypatch.setattr(analyzer, "product_factorize", counting)
-        for spec in (cloning_process(), deletion_process(), _deaf_copier_process()):
-            calls.clear()
-            classify(spec)
-            assert len(calls) == 2 * spec.n
+        cases = [
+            (random_factored_spec(np.random.default_rng(seed)), (1e-9, 1e-6, 1e-2)[seed % 3])
+            for seed in range(1200)
+        ]
+        wanted = [reference(spec, tol) for spec, tol in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the catalyst checks factorize no state")
+
+        batches = []
+        real = analyzer._schmidt
+
+        def counting(vecs, *args):
+            batches.append(len(vecs))
+            return real(vecs, *args)
+
+        monkeypatch.setattr(states, "product_factorize", refuse)
+        monkeypatch.setattr(qcatalysis, "product_factorize", refuse)
+        monkeypatch.setattr(analyzer, "_schmidt", counting)
+        seen = {"intact": 0, "disturbed": 0, "entangled": 0, "bob": 0}
+        for (spec, tol), (rows, bob) in zip(cases, wanted):
+            batches.clear()
+            reports = catalyst_intact(spec, tol)
+            assert batches == [2 * spec.n]
+            assert classify(spec, tol).bob_alone_impossible == bob
+            for report, (in_product, out_product, fid) in zip(reports, rows):
+                assert report.input_is_product == in_product
+                assert report.output_is_product == out_product
+                if fid is None:
+                    assert report.catalyst_fidelity is None
+                    assert not report.intact
+                    seen["entangled"] += 1
+                else:
+                    assert abs(report.catalyst_fidelity - fid) <= 1e-12
+                    assert report.intact == (fid >= 1.0 - tol)
+                    seen["intact" if report.intact else "disturbed"] += 1
+            seen["bob"] += bob
+        # every branch of the checks is exercised many times
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("side", ["input", "output"])
+    @pytest.mark.parametrize("margin", [0.9, 1.1])
+    def test_bob_flag_tolerance_edges(self, side, margin):
+        # two pairs on A factors |0> and |1>; one side's B factors have
+        # fidelity 1 - margin * tol, the other side's are identical (input)
+        # or orthogonal (output)
+        tol = 1e-6
+        theta = math.asin(math.sqrt(margin * tol))
+        tilted = PureState((2,), np.array([math.cos(theta), math.sin(theta)]))
+        if side == "input":
+            pairs = ((ket("00"), ket("00")), (tensor(ket("1"), tilted), ket("11")))
+        else:
+            pairs = ((ket("00"), ket("00")), (ket("10"), tensor(ket("1"), tilted)))
+        flag = classify(ProcessSpec(2, 2, pairs), tol).bob_alone_impossible
+        # inputs the same within tol, outputs farther apart than tol
+        assert flag == ((margin <= 1.0) if side == "input" else (margin >= 1.0))
 
     def test_bob_flag_skips_an_entangled_output(self):
         # pair 0 has an entangled output; pairs 1 and 2 share Bob's input
@@ -268,7 +342,7 @@ class TestDeletionFamilySweep:
             raise AssertionError("the sweep reads one concurrence per point")
 
         monkeypatch.setattr(analyzer, "find_entangling_witness", refuse)
-        monkeypatch.setattr(analyzer, "product_factorize", refuse)
+        monkeypatch.setattr(analyzer, "_schmidt", refuse)
         points = deletion_family_sweep(8)
         assert len(points) == 8
         for p in points:

@@ -38,9 +38,10 @@ IDENTITY_FILE = {
 }
 
 
-# the default JSON report of every scenario, as committed; regenerate a file
-# only for a deliberate change of the report
+# the default JSON and text report of every scenario, as committed; regenerate
+# a file only for a deliberate change of the report
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
+GOLDEN_SUFFIX = {"json": "json", "text": "txt"}
 
 
 def write_json(tmp_path, name, payload):
@@ -86,10 +87,14 @@ class TestEmission:
         assert one == two
         assert json.loads(one)
 
-    @pytest.mark.parametrize("name", SCENARIOS)
-    def test_json_matches_golden_report(self, name):
-        payload = emit_report(run_scenario(name, RunConfig())[0], "json")
-        assert payload == (GOLDEN_REPORTS / f"{name}.json").read_bytes()
+    @pytest.mark.parametrize(
+        "name,fmt",
+        [pytest.param(name, "json", id=name) for name in SCENARIOS]
+        + [pytest.param(name, "text", id=f"{name}-text") for name in SCENARIOS],
+    )
+    def test_json_matches_golden_report(self, name, fmt):
+        payload = emit_report(run_scenario(name, RunConfig(format=fmt))[0], fmt)
+        assert payload == (GOLDEN_REPORTS / f"{name}.{GOLDEN_SUFFIX[fmt]}").read_bytes()
 
     def test_unit_concurrence_fixed_format(self):
         doc, _ = run_scenario("cloning", RunConfig())
@@ -145,6 +150,15 @@ class TestSpecFiles:
         path = write_json(tmp_path, "bad.json", bad)
         with pytest.raises(SpecFileError) as exc:
             check_spec_file(path, RunConfig())
+        assert exc.value.field == "pairs[1].in"
+
+    def test_zero_vector_names_pair(self, tmp_path):
+        # at a tolerance above one the norm test alone would pass it
+        bad = json.loads(json.dumps(IDENTITY_FILE))
+        bad["pairs"][1]["in"] = [[0, 0]] * 4
+        path = write_json(tmp_path, "zero.json", bad)
+        with pytest.raises(SpecFileError) as exc:
+            check_spec_file(path, RunConfig(tolerance=1.5))
         assert exc.value.field == "pairs[1].in"
 
     def test_dependent_inputs_rejected(self, tmp_path):
@@ -211,8 +225,18 @@ class TestMainEntryPoint:
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE
 
-    def test_invalid_tolerance_is_usage_error(self, capsys):
-        assert main(["run", "cloning", "--tolerance", "-1"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cloning", "--tolerance", "-1"],
+            ["run", "cloning", "--tolerance", "inf"],
+            ["run", "cloning", "--tolerance", "nan"],
+            ["run", "teleport", "--seed", "-1"],
+        ],
+        ids=["tolerance-negative", "tolerance-inf", "tolerance-nan", "seed-negative"],
+    )
+    def test_invalid_tolerance_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
 
     def test_invalid_steps_is_usage_error(self, capsys):
         assert main(["run", "deletion-sweep", "--steps", "1"]) == EXIT_USAGE
