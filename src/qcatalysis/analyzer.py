@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, DependentBasisError
 from .process import (
     EnvironmentsDifferError,
     FeasibilityVerdict,
@@ -102,7 +102,7 @@ class DeletionFamilyPoint:
     u: float
     v: float
     overlap: complex
-    out_concurrence: float
+    out_concurrence: float | None
 
 
 def cloning_process() -> ProcessSpec:
@@ -498,7 +498,9 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     Infeasible or undetermined feasibility, or a disturbed catalyst, gives
     NotCatalysis with the reason.  Otherwise a witness search runs when
     the environment overlaps are all one; absence of a witness is reported
-    as such and never promoted to a claim of classical catalysis.
+    as such and never promoted to a claim of classical catalysis.  A spec
+    admitted with dependent inputs gets no witness search: it is reported
+    as no_entangling_witness_found with a reason naming those inputs.
     """
     verdict = decide_feasibility(spec, tol)
     pair_reports, bob_flag = _catalyst_checks(spec, tol)
@@ -520,7 +522,10 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
         classification = NOT_CATALYSIS
         reason = f"catalyst disturbed at pair {first_bad}"
     elif coherent:
-        witness = find_entangling_witness(spec, verdict, tol)
+        try:
+            witness = find_entangling_witness(spec, verdict, tol)
+        except DependentBasisError as exc:
+            reason = f"no witness search: {exc}"
         classification = QUANTUM_CATALYSIS if witness is not None else NO_WITNESS_FOUND
     else:
         classification = NO_WITNESS_FOUND
@@ -551,7 +556,9 @@ def deletion_family_sweep(
     with delta = v - u covering [0, 2pi) in ``steps`` points.  Each point
     decides feasibility and records the residue overlap (1 + e^{i delta}) / 2
     together with the concurrence of the process output on the
-    distinguished separable input; no witness search runs.
+    distinguished separable input; no witness search runs.  A point whose
+    feasibility is not decided realizable has no output, and its
+    ``out_concurrence`` is None.
     """
     if steps < 2:
         raise ValueError("sweep needs at least 2 steps")
@@ -561,11 +568,9 @@ def deletion_family_sweep(
         delta = 2.0 * math.pi * k / steps
         residues = (deletion_residue(0.0), deletion_residue(delta), ket_plus())
         spec = deletion_process(residues)
-        out = apply_process(spec, decide_feasibility(spec, tol), probe, tol)
+        verdict = decide_feasibility(spec, tol)
+        out = apply_process(spec, verdict, probe, tol) if verdict.is_realizable else None
+        conc = concurrence(out) if out is not None else None
         overlap = complex((1.0 + np.exp(1j * delta)) / 2.0)
-        points.append(
-            DeletionFamilyPoint(
-                u=0.0, v=delta, overlap=overlap, out_concurrence=concurrence(out)
-            )
-        )
+        points.append(DeletionFamilyPoint(0.0, delta, overlap, conc))
     return points

@@ -11,7 +11,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,7 @@ from .states import (
     standard_triple,
     tensor,
 )
-from .teleport import (
-    NONLOCAL_CNOT_LEDGER,
-    TELEPORT_LEDGER,
-    ResourceLedger,
-    nonlocal_cnot,
-    teleport,
-)
+from .teleport import NONLOCAL_CNOT_LEDGER, TELEPORT_LEDGER, nonlocal_cnot, teleport
 
 SCHEMA_VERSION = "1.0"
 SCENARIOS = (
@@ -94,8 +88,9 @@ class RunConfig:
     steps: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise UsageError(f"tolerance must be positive and finite, got {self.tolerance}")
+        # at a tolerance of one every fidelity test 1 - tol is vacuous
+        if not 0.0 < self.tolerance < 1.0:
+            raise UsageError(f"tolerance must lie in (0, 1), got {self.tolerance}")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if self.format not in ("json", "text"):
@@ -160,8 +155,7 @@ def _cvec(v) -> list[list[float]]:
 
 
 def _cmat(m) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [_cvec(row) for row in m]
+    return [_cvec(row) for row in np.asarray(m)]
 
 
 def _text_lines(doc: dict) -> list[str]:
@@ -183,30 +177,26 @@ def _text_lines(doc: dict) -> list[str]:
                 f"certificate: {cert['reason']}{where}, magnitude "
                 f"{_fmt(cert['magnitude'])}"
             )
-    if doc.get("catalyst_intact") is not None:
-        lines.append(
-            "catalyst intact: "
-            + ("yes" if doc["catalyst_intact"]["overall"] else "no")
-        )
-    if doc.get("coherence_preserving") is not None:
-        lines.append(
-            "coherence preserving: "
-            + ("yes" if doc["coherence_preserving"] else "no")
-        )
-    if doc.get("bob_alone_impossible") is not None:
-        lines.append(
-            "conversion impossible for Bob alone: "
-            + ("yes" if doc["bob_alone_impossible"] else "no")
-        )
+    flags = (
+        ("catalyst intact", (doc.get("catalyst_intact") or {}).get("overall")),
+        ("coherence preserving", doc.get("coherence_preserving")),
+        ("conversion impossible for Bob alone", doc.get("bob_alone_impossible")),
+    )
+    for label, flag in flags:
+        if flag is not None:
+            lines.append(f"{label}: {'yes' if flag else 'no'}")
     for w in doc.get("witnesses") or []:
         lines.append(
             "witness: concurrence "
             f"{_fmt(w['concurrence_in'])} -> {_fmt(w['concurrence_out'])}"
         )
     if doc.get("sweep") is not None:
-        lines.append(f"sweep points: {len(doc['sweep'])}")
-        zero = sum(1 for p in doc["sweep"] if p["out_concurrence"] <= 1e-9)
+        concs = [p["out_concurrence"] for p in doc["sweep"]]
+        lines.append(f"sweep points: {len(concs)}")
+        zero = sum(1 for c in concs if c is not None and c <= 1e-9)
         lines.append(f"sweep points with zero output entanglement: {zero}")
+        if None in concs:
+            lines.append(f"sweep points without a realizable verdict: {concs.count(None)}")
     if doc.get("protocol") is not None:
         proto = doc["protocol"]
         lines.append(
@@ -311,14 +301,6 @@ def _fill_classification(doc: dict, report: CatalysisReport) -> None:
     doc["witnesses"] = _witness_doc(report)
 
 
-def _ledger_doc(ledger: ResourceLedger) -> dict:
-    return {
-        "ebits_consumed": ledger.ebits_consumed,
-        "cbits_a_to_b": ledger.cbits_a_to_b,
-        "cbits_b_to_a": ledger.cbits_b_to_a,
-    }
-
-
 def _finish(doc: dict, checks: list[tuple[str, bool]]) -> tuple[dict, int]:
     doc["assertions"] = [{"name": n, "passed": bool(ok)} for n, ok in checks]
     passed = all(ok for _, ok in checks)
@@ -420,14 +402,17 @@ def _scenario_deletion_sweep(config: RunConfig) -> tuple[dict, int]:
         <= 1e-12
         for p in points
     )
-    biconditional = all(
+    # a point without a realizable verdict (out_concurrence None) fails every
+    # check on the output entanglement
+    decided = all(p.out_concurrence is not None for p in points)
+    biconditional = decided and all(
         (p.out_concurrence <= 1e-9) == (abs(p.overlap) <= 1e-9) for p in points
     )
-    above = all(
+    above = decided and all(
         p.out_concurrence > 1e-6 for p in points if abs(p.overlap) > 1e-3
     )
     orthogonal = [p for p in points if abs(p.overlap) <= 1e-9]
-    orthogonal_ok = all(p.out_concurrence <= 1e-9 for p in orthogonal)
+    orthogonal_ok = decided and all(p.out_concurrence <= 1e-9 for p in orthogonal)
     if config.steps % 2 == 0:
         orthogonal_ok = orthogonal_ok and len(orthogonal) >= 1
     checks = [
@@ -471,6 +456,18 @@ def _scenario_no_info_cloning(config: RunConfig) -> tuple[dict, int]:
     return _finish(doc, checks)
 
 
+def _protocol_doc(name, config, ledger, min_fid, max_prob_err) -> dict:
+    doc = _base_doc(name, config)
+    doc["protocol"] = {
+        "inputs_checked": _PROTOCOL_INPUTS,
+        "branches_per_input": 4,
+        "min_branch_fidelity": min_fid,
+        "max_branch_probability_error": max_prob_err,
+    }
+    doc["ledger"] = asdict(ledger)
+    return doc
+
+
 def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
     rng = np.random.default_rng(config.seed)
     min_fid = 1.0
@@ -479,26 +476,17 @@ def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
     for _ in range(_PROTOCOL_INPUTS):
         state = random_state((2,), rng)
         branches, ledger = teleport(state)
-        total = 0.0
         for b in branches:
             min_fid = min(min_fid, fidelity(b.post_state, state))
             max_prob_err = max(max_prob_err, abs(b.probability - 0.25))
-            total += b.probability
-        max_sum_err = max(max_sum_err, abs(total - 1.0))
+        max_sum_err = max(max_sum_err, abs(sum(b.probability for b in branches) - 1.0))
     checks = [
         ("all_branches_reproduce_input", min_fid >= 1.0 - 1e-12),
         ("branch_probabilities_quarter", max_prob_err <= 1e-12),
         ("branch_probabilities_sum_to_one", max_sum_err <= 1e-12),
         ("ledger_one_ebit_two_cbits", ledger == TELEPORT_LEDGER),
     ]
-    doc = _base_doc("teleport", config)
-    doc["protocol"] = {
-        "inputs_checked": _PROTOCOL_INPUTS,
-        "branches_per_input": 4,
-        "min_branch_fidelity": min_fid,
-        "max_branch_probability_error": max_prob_err,
-    }
-    doc["ledger"] = _ledger_doc(TELEPORT_LEDGER)
+    doc = _protocol_doc("teleport", config, TELEPORT_LEDGER, min_fid, max_prob_err)
     return _finish(doc, checks)
 
 
@@ -511,19 +499,14 @@ def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
         state = random_state((2, 2), rng)
         target = apply_gate(gate, state)
         branches, ledger = nonlocal_cnot(state)
-        total = 0.0
         for b in branches:
             min_fid = min(min_fid, fidelity(b.post_state, target))
-            total += b.probability
-        max_sum_err = max(max_sum_err, abs(total - 1.0))
-    pairs_ok = True
-    for t, s in zip(standard_triple("target"), standard_triple("source")):
-        start = tensor(t, s)
-        wanted = tensor(t, t)
-        branches, _ = nonlocal_cnot(start)
-        for b in branches:
-            if fidelity(b.post_state, wanted) < 1.0 - 1e-12:
-                pairs_ok = False
+        max_sum_err = max(max_sum_err, abs(sum(b.probability for b in branches) - 1.0))
+    pairs_ok = all(
+        fidelity(b.post_state, tensor(t, t)) >= 1.0 - 1e-12
+        for t, s in zip(standard_triple("target"), standard_triple("source"))
+        for b in nonlocal_cnot(tensor(t, s))[0]
+    )
     checks = [
         ("all_branches_match_direct_cnot", min_fid >= 1.0 - 1e-12),
         ("branch_probabilities_sum_to_one", max_sum_err <= 1e-12),
@@ -531,14 +514,7 @@ def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
         ("ledger_single_ebit", ledger.ebits_consumed == 1),
         ("ledger_one_cbit_each_way", ledger == NONLOCAL_CNOT_LEDGER),
     ]
-    doc = _base_doc("nonlocal-cnot", config)
-    doc["protocol"] = {
-        "inputs_checked": _PROTOCOL_INPUTS,
-        "branches_per_input": 4,
-        "min_branch_fidelity": min_fid,
-        "max_branch_probability_error": None,
-    }
-    doc["ledger"] = _ledger_doc(NONLOCAL_CNOT_LEDGER)
+    doc = _protocol_doc("nonlocal-cnot", config, NONLOCAL_CNOT_LEDGER, min_fid, None)
     doc["notes"] = [
         "the copying interaction turns a separable input into a maximally "
         "entangled pair (one ebit); classical communication alone cannot "

@@ -24,13 +24,16 @@ class DependentBasisError(ValueError):
     """A basis that should be linearly independent is not.
 
     Carries ``min_gram_eigenvalue``, the smallest eigenvalue of the basis
-    Gram matrix, as the evidence of (near-)dependence.
+    Gram matrix, as the evidence of (near-)dependence, and ``dependent``,
+    the indices of the vectors its eigenvector involves, where known.
     """
 
-    def __init__(self, min_gram_eigenvalue: float):
+    def __init__(self, min_gram_eigenvalue: float, dependent: tuple[int, ...] = ()):
         self.min_gram_eigenvalue = float(min_gram_eigenvalue)
+        self.dependent = dependent
+        what = f"inputs {', '.join(map(str, dependent))} are" if dependent else "basis is"
         super().__init__(
-            f"basis is linearly dependent within tolerance "
+            f"{what} linearly dependent within tolerance "
             f"(smallest Gram eigenvalue {self.min_gram_eigenvalue:.3e})"
         )
 

@@ -119,9 +119,11 @@ class ProcessSpec:
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray]:
         a = self.input_matrix()
-        min_eig = float(np.linalg.eigvalsh(a.conj().T @ a)[0])
-        if min_eig <= DEFAULT_TOL:
-            raise DependentBasisError(min_eig)
+        eigs, vecs = np.linalg.eigh(a.conj().T @ a)
+        if eigs[0] <= DEFAULT_TOL:
+            # the inputs that the near-null combination involves
+            involved = np.flatnonzero(abs(vecs[:, 0]) > DEFAULT_TOL)
+            raise DependentBasisError(eigs[0], tuple(involved.tolist()))
         q, r = np.linalg.qr(a, mode="complete")
         span_map = np.linalg.solve(r[: self.n], q[:, : self.n].conj().T)
         q.setflags(write=False)

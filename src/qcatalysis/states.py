@@ -139,7 +139,8 @@ def standard_triple(kind: str) -> tuple[PureState, PureState, PureState]:
 def _gate(name: str, targets: tuple[int, ...], reg: np.ndarray) -> np.ndarray:
     """Apply a named gate to the ``targets`` axes of a register array.
 
-    ``reg`` has one axis per subsystem and need not be normalized.
+    The targets may be any axes of ``reg``; the other axes, subsystems or
+    batch, are left as they are.  ``reg`` need not be normalized.
     """
     k = len(targets)
     u = _GATE_MATRICES[name].reshape((2,) * (2 * k))
@@ -236,8 +237,14 @@ def fidelity(a: PureState, b: PureState) -> float:
     return min(abs(inner(a.vector, b.vector)) ** 2, 1.0)
 
 
+def random_states(dims: tuple[int, ...], count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-like random state vectors as rows, drawn from ``rng``
+    exactly as ``count`` successive ``random_state`` calls would draw them."""
+    x = rng.standard_normal((count, 2, math.prod(dims)))
+    vecs = x[:, 0] + 1j * x[:, 1]
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
 def random_state(dims: tuple[int, ...], rng: np.random.Generator) -> PureState:
     """Haar-like random pure state from a seeded generator."""
-    total = math.prod(dims)
-    vec = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return PureState(tuple(dims), vec / np.linalg.norm(vec))
+    return PureState(tuple(dims), random_states(dims, 1, rng)[0])

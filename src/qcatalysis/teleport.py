@@ -47,10 +47,41 @@ def bell_pair() -> PureState:
     return PureState((2, 2), _BELL)
 
 
-def _branch(bits: tuple[int, ...], amplitudes: np.ndarray) -> BranchOutcome:
-    """Branch of unnormalized ``amplitudes``: probability is their squared norm."""
-    p = float(np.vdot(amplitudes, amplitudes).real)
-    return BranchOutcome(bits, p, PureState(amplitudes.shape, amplitudes / math.sqrt(p)))
+def _branches(kernel, state: PureState) -> list[BranchOutcome]:
+    """The branches of one input, a one-row call of ``kernel``: a branch's
+    probability is the squared norm of its amplitudes."""
+    outcomes = []
+    for bits, amp in zip(np.ndindex(2, 2), kernel(state.vector[None, :])[..., 0]):
+        p = float(np.vdot(amp, amp).real)
+        outcomes.append(BranchOutcome(bits, p, PureState(state.dims, amp / math.sqrt(p))))
+    return outcomes
+
+
+def _teleport_rows(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 2, k) of teleporting each row of (k, 2).
+
+    Register axes (input, sender's half, receiver's half, batch); the
+    read-out (m0, m1) of the first two axes labels the branch.
+    """
+    reg = np.einsum("ki,jl->ijlk", states, _BELL)
+    reg = _gate("H", (0,), _gate("CNOT", (0, 1), reg))
+    reg[:, 1] = reg[:, 1, ::-1]  # the receiver's X when m1 = 1
+    reg[1, :, 1] *= -1  # then Z when m0 = 1
+    return reg.reshape(4, 2, -1)
+
+
+def _nonlocal_cnot_rows(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 4, k) of the remote CNOT on each row of (k, 4).
+
+    Register axes (A, B, a1, b1, batch); the read-outs m of a1 and n of b1
+    label the branch.
+    """
+    reg = np.einsum("kab,cd->abcdk", states.reshape(-1, 2, 2), _BELL)
+    reg = _gate("CNOT", (0, 2), reg)
+    reg[:, :, 1] = reg[:, :, 1, ::-1]  # Bob's X on b1 when m = 1
+    reg = _gate("H", (3,), _gate("CNOT", (3, 1), reg))
+    reg[1, :, :, 1] *= -1  # Alice's Z on A when n = 1
+    return reg.transpose(2, 3, 0, 1, 4).reshape(4, 4, -1)
 
 
 def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
@@ -60,24 +91,12 @@ def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     both qubits in the Bell basis (CNOT, Hadamard, computational read-out,
     four branches of probability 1/4); the receiver applies the X/Z
     correction named by the two classical bits.  Every branch reproduces
-    the input exactly up to global phase.  One register array with axes
-    (input, sender's half, receiver's half) is stepped; a read-out indexes
-    the measured axes, and only the branch states become PureStates.
+    the input exactly up to global phase.  This is the one-row case of
+    ``_teleport_rows``; only the branch states become PureStates.
     """
     if state.dims != (2,):
         raise ValueError(f"teleport expects a single qubit, got dims {state.dims}")
-    reg = np.multiply.outer(state.vector, _BELL)
-    reg = _gate("CNOT", (0, 1), reg)
-    reg = _gate("H", (0,), reg)
-    outcomes = []
-    for m0, m1 in np.ndindex(2, 2):
-        post = reg[m0, m1]
-        if m1:
-            post = _gate("X", (0,), post)
-        if m0:
-            post = _gate("Z", (0,), post)
-        outcomes.append(_branch((m0, m1), post))
-    return outcomes, TELEPORT_LEDGER
+    return _branches(_teleport_rows, state), TELEPORT_LEDGER
 
 
 def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
@@ -88,24 +107,9 @@ def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger
     to Bob, who corrects b1 and applies CNOT from b1 onto B; measuring b1
     in the |+>/|-> basis sends one bit back, fixing a phase on A.  Every
     branch equals CNOT(A -> B) applied to the input, up to global phase.
-    One register array is stepped, a measurement indexes its axis, and
-    only the branch states become PureStates.
+    This is the one-row case of ``_nonlocal_cnot_rows``; only the branch
+    states become PureStates.
     """
     if state.dims != (2, 2):
         raise ValueError(f"nonlocal_cnot expects two qubits, got dims {state.dims}")
-    reg = np.multiply.outer(state.vector.reshape(2, 2), _BELL)
-    reg = _gate("CNOT", (0, 2), reg)
-    outcomes = []
-    for m in (0, 1):
-        # remaining register order (A, B, b1)
-        stage = reg[:, :, m]
-        if m:
-            stage = _gate("X", (2,), stage)
-        stage = _gate("CNOT", (2, 1), stage)
-        stage = _gate("H", (2,), stage)
-        for n in (0, 1):
-            post = stage[:, :, n]
-            if n:
-                post = _gate("Z", (0,), post)
-            outcomes.append(_branch((m, n), post))
-    return outcomes, NONLOCAL_CNOT_LEDGER
+    return _branches(_nonlocal_cnot_rows, state), NONLOCAL_CNOT_LEDGER

@@ -8,8 +8,11 @@ from qcatalysis import (
     PureState,
     ket,
     random_state,
+    random_states,
     tensor,
 )
+from qcatalysis.cli import _PROTOCOL_INPUTS
+from qcatalysis.teleport import _nonlocal_cnot_rows, _teleport_rows
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -144,3 +147,22 @@ def near_dependent_identity_spec() -> ProcessSpec:
     tilted = PureState((2,), np.array([1.0, 0.1]) / np.hypot(1.0, 0.1))
     inputs = (ket("00"), ket("11"), tensor(ket("0"), tilted))
     return ProcessSpec(2, 2, tuple((a, a) for a in inputs))
+
+
+def batched_protocol_figures(name: str, seed: int) -> tuple[float, float | None, float]:
+    """Minimum branch fidelity, maximum |p - 1/4| (teleport only; None for
+    nonlocal-cnot) and maximum |sum p - 1| over the scenario's inputs, taken
+    from one batched kernel call on all of them instead of one call per input."""
+    rng = np.random.default_rng(seed)
+    if name == "teleport":
+        inputs = random_states((2,), _PROTOCOL_INPUTS, rng)
+        amplitudes, wanted = _teleport_rows(inputs), inputs
+    else:
+        inputs = random_states((2, 2), _PROTOCOL_INPUTS, rng)
+        # CNOT with the first qubit as control swaps the |10> and |11> amplitudes
+        amplitudes, wanted = _nonlocal_cnot_rows(inputs), inputs[:, [0, 1, 3, 2]]
+    probs = np.einsum("bik,bik->bk", amplitudes.conj(), amplitudes).real
+    posts = amplitudes / np.sqrt(probs)[:, None, :]
+    fids = np.minimum(np.abs(np.einsum("bik,ki->bk", posts.conj(), wanted)) ** 2, 1.0)
+    prob_err = float(np.max(np.abs(probs - 0.25))) if name == "teleport" else None
+    return float(fids.min()), prob_err, float(np.max(np.abs(probs.sum(axis=0) - 1.0)))

@@ -150,10 +150,18 @@ class TestWitnessSearch:
         spec = ProcessSpec(
             2, 2, tuple((a, a) for a in inputs), require_independent_inputs=False
         )
-        assert decide_feasibility(spec).is_realizable
+        verdict = decide_feasibility(spec)
+        assert verdict.is_realizable
         with pytest.raises(DependentBasisError) as exc:
-            classify(spec)
+            find_entangling_witness(spec, verdict)
         assert exc.value.min_gram_eigenvalue <= 1e-9
+        assert exc.value.dependent == (0, 1, 2)
+        # classify reports the refusal instead of raising it
+        report = classify(spec)
+        assert report.coherence_preserving
+        assert report.classification == NO_WITNESS_FOUND
+        assert report.witness is None
+        assert report.reason.startswith("no witness search: inputs 0, 1, 2 are linearly dependent")
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-2])
     def test_independence_guard_ignores_the_tolerance(self, tol):

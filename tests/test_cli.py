@@ -7,6 +7,7 @@ import pytest
 from helpers import near_dependent_identity_spec
 from qcatalysis import classify, cloning_process, deletion_process
 from qcatalysis.cli import (
+    EXIT_ASSERTION,
     EXIT_DATA,
     EXIT_INTERNAL,
     EXIT_NEGATIVE,
@@ -153,12 +154,13 @@ class TestSpecFiles:
         assert exc.value.field == "pairs[1].in"
 
     def test_zero_vector_names_pair(self, tmp_path):
-        # at a tolerance above one the norm test alone would pass it
+        # at a tolerance above one (which the library parser still accepts,
+        # though RunConfig does not) the norm test alone would pass it
         bad = json.loads(json.dumps(IDENTITY_FILE))
         bad["pairs"][1]["in"] = [[0, 0]] * 4
         path = write_json(tmp_path, "zero.json", bad)
         with pytest.raises(SpecFileError) as exc:
-            check_spec_file(path, RunConfig(tolerance=1.5))
+            load_process_spec(path, 1.5)
         assert exc.value.field == "pairs[1].in"
 
     def test_dependent_inputs_rejected(self, tmp_path):
@@ -168,6 +170,7 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError) as exc:
             check_spec_file(path, RunConfig())
         assert exc.value.field == "pairs"
+        assert "inputs 0, 1 are linearly dependent" in str(exc.value)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -232,11 +235,57 @@ class TestMainEntryPoint:
             ["run", "cloning", "--tolerance", "inf"],
             ["run", "cloning", "--tolerance", "nan"],
             ["run", "teleport", "--seed", "-1"],
+            ["run", "teleport", "--tolerance", "1.0"],
+            ["run", "cloning", "--tolerance", "1.5"],
         ],
-        ids=["tolerance-negative", "tolerance-inf", "tolerance-nan", "seed-negative"],
+        ids=[
+            "tolerance-negative",
+            "tolerance-inf",
+            "tolerance-nan",
+            "seed-negative",
+            "tolerance-one",
+            "tolerance-above-one",
+        ],
     )
     def test_invalid_tolerance_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("tolerance", ["1e-300", "1e-16", "0.42", "0.9", "0.99"])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_tolerance_edges_are_verdicts_not_faults(self, name, tolerance, tmp_path, capsys):
+        # a scenario may fail its own assertions at an extreme tolerance,
+        # but never as an internal error; both formats render the report
+        codes = []
+        for fmt in ("json", "text"):
+            out = tmp_path / f"report.{fmt}"
+            argv = ["run", name, "--tolerance", tolerance, "--format", fmt, "--output", str(out)]
+            codes.append(main(argv))
+            assert out.read_bytes()
+        assert codes[0] == codes[1]
+        assert codes[0] in (EXIT_PASS, EXIT_ASSERTION)
+
+    @pytest.mark.parametrize("tolerance", [1e-300, 1e-16])
+    def test_sweep_without_realizable_points_fails_its_assertions(self, tolerance):
+        doc, code = run_scenario("deletion-sweep", RunConfig(tolerance=tolerance, steps=8))
+        assert code == EXIT_ASSERTION
+        assert all(p["out_concurrence"] is None for p in doc["sweep"])
+        failed = {a["name"] for a in doc["assertions"] if not a["passed"]}
+        assert failed == {
+            "zero_concurrence_iff_orthogonal_residues",
+            "entangled_whenever_residues_overlap",
+            "orthogonal_residue_point_zero_concurrence",
+        }
+        text = emit_report(doc, "text").decode()
+        assert "sweep points without a realizable verdict: 8" in text
+
+    @pytest.mark.parametrize("tolerance", [0.42, 0.9, 0.99])
+    def test_no_info_cloning_past_the_certificate_names_the_dependence(self, tolerance):
+        # from tol = sqrt(2) - 1 the modulus certificate lapses and the
+        # deliberately dependent inputs reach the witness stage
+        doc, code = run_scenario("no-info-cloning", RunConfig(tolerance=tolerance))
+        assert code == EXIT_ASSERTION
+        assert doc["classification"] == "no_entangling_witness_found"
+        assert doc["reason"].startswith("no witness search: inputs 0, 1, 2 are linearly dependent")
 
     def test_invalid_steps_is_usage_error(self, capsys):
         assert main(["run", "deletion-sweep", "--steps", "1"]) == EXIT_USAGE
@@ -357,7 +406,7 @@ def test_help_exits_zero():
 
 
 def test_failed_assertions_yield_exit_two():
-    from qcatalysis.cli import EXIT_ASSERTION, _base_doc, _finish
+    from qcatalysis.cli import _base_doc, _finish
 
     doc = _base_doc("cloning", RunConfig())
     doc, code = _finish(doc, [("something_true", True), ("something_false", False)])

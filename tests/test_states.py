@@ -17,6 +17,7 @@ from qcatalysis import (
     ket_plus,
     product_factorize,
     random_state,
+    random_states,
     schmidt_coefficients,
     standard_triple,
     tensor,
@@ -206,3 +207,27 @@ class TestFidelity:
 
     def test_minus_orthogonal_to_plus(self):
         assert fidelity(ket_minus(), ket_plus()) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRandomStates:
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3)])
+    def test_batched_draw_reproduces_successive_draws(self, dims):
+        batched_rng = np.random.default_rng(47)
+        single_rng = np.random.default_rng(47)
+        rows = random_states(dims, 25, batched_rng)
+        singles = np.array([random_state(dims, single_rng).vector for _ in range(25)])
+        assert rows.shape == (25, math.prod(dims))
+        assert np.max(np.abs(rows - singles)) <= 1e-15
+        # row i holds the real parts of its amplitudes, then the imaginary parts
+        explicit_rng = np.random.default_rng(47)
+        d = math.prod(dims)
+        for row in rows:
+            vec = explicit_rng.standard_normal(d) + 1j * explicit_rng.standard_normal(d)
+            assert np.max(np.abs(row - vec / np.linalg.norm(vec))) <= 1e-15
+        # both generators have consumed the same stream
+        assert batched_rng.standard_normal() == single_rng.standard_normal()
+
+    def test_rows_are_unit_vectors(self):
+        rows = random_states((2, 2), 100, np.random.default_rng(48))
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
+

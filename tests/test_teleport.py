@@ -1,9 +1,15 @@
+import functools
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
+from helpers import batched_protocol_figures
 from qcatalysis import (
     GateSpec,
     NONLOCAL_CNOT_LEDGER,
+    PureState,
     TELEPORT_LEDGER,
     apply_gate,
     bell_pair,
@@ -12,10 +18,69 @@ from qcatalysis import (
     ket_plus,
     nonlocal_cnot,
     random_state,
+    random_states,
     standard_triple,
     teleport,
     tensor,
 )
+from qcatalysis.cli import RunConfig, _fmt, run_scenario
+from qcatalysis.teleport import _nonlocal_cnot_rows, _teleport_rows
+
+# the package re-exports the function ``teleport`` under the module's name
+teleport_module = importlib.import_module("qcatalysis.teleport")
+
+
+# the protocols as dense matrices on the whole register, qubit 0 most significant
+I2 = np.eye(2)
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+Z = np.diag([1.0, -1.0])
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def kron(*factors):
+    return functools.reduce(np.kron, factors)
+
+
+def bra(bit):
+    return I2[bit][None, :]
+
+
+def dense_teleport(psi):
+    """Branch amplitudes (4, 2) on the register (input, sender, receiver)."""
+    v = kron(H, I2, I2) @ (kron(P0, I2, I2) + kron(P1, X, I2)) @ np.kron(psi, BELL)
+    return np.array(
+        [
+            np.linalg.matrix_power(Z, m0) @ np.linalg.matrix_power(X, m1)
+            @ kron(bra(m0), bra(m1), I2) @ v
+            for m0, m1 in np.ndindex(2, 2)
+        ]
+    )
+
+
+def dense_nonlocal_cnot(psi):
+    """Branch amplitudes (4, 4) on the register (A, B, a1, b1)."""
+    v = (kron(P0, I2, I2, I2) + kron(P1, I2, X, I2)) @ np.kron(psi, BELL)
+    out = []
+    for m in (0, 1):
+        w = kron(I2, I2, np.linalg.matrix_power(X, m)) @ kron(I2, I2, bra(m), I2) @ v
+        w = kron(I2, I2, H) @ (kron(I2, I2, P0) + kron(I2, X, P1)) @ w
+        for n in (0, 1):
+            out.append(kron(np.linalg.matrix_power(Z, n), I2) @ kron(I2, I2, bra(n)) @ w)
+    return np.array(out)
+
+
+def assert_kernel_matches_single_calls(kernel, protocol, rows, dims):
+    """Row i of one batched kernel call equals the single-state protocol on row i."""
+    amplitudes = kernel(rows)
+    assert amplitudes.shape == (4, rows.shape[1], len(rows))
+    for i, row in enumerate(rows):
+        branches, _ = protocol(PureState(dims, row))
+        assert [b.measurement_bits for b in branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for b, amp in zip(branches, amplitudes[..., i]):
+            assert abs(b.probability - np.vdot(amp, amp).real) <= 1e-15
+            assert np.max(np.abs(b.post_state.vector * np.sqrt(b.probability) - amp)) <= 1e-15
 
 
 class TestTeleport:
@@ -92,3 +157,148 @@ class TestNonlocalCnot:
             assert ledger.ebits_consumed == 1
             assert ledger.cbits_a_to_b == 1
             assert ledger.cbits_b_to_a == 1
+
+
+class TestBatchedKernels:
+    def test_teleport_rows_match_single_calls(self):
+        named = [s.vector for s in (ket("0"), ket("1"), ket_plus(), *standard_triple("target"))]
+        rows = np.concatenate([random_states((2,), 50, np.random.default_rng(45)), named])
+        assert_kernel_matches_single_calls(_teleport_rows, teleport, rows, (2,))
+
+    def test_nonlocal_cnot_rows_match_single_calls(self):
+        rng = np.random.default_rng(46)
+        standard = [
+            tensor(t, s).vector
+            for t, s in zip(standard_triple("target"), standard_triple("source"))
+        ]
+        # random two-qubit rows are entangled almost surely; add the Bell pair
+        # and a product row too
+        rows = np.concatenate(
+            [
+                random_states((2, 2), 50, rng),
+                [bell_pair().vector, tensor(ket_plus(), ket("0")).vector],
+                standard,
+            ]
+        )
+        assert_kernel_matches_single_calls(_nonlocal_cnot_rows, nonlocal_cnot, rows, (2, 2))
+
+    @pytest.mark.parametrize(
+        "kernel, dense, dims",
+        [
+            (_teleport_rows, dense_teleport, (2,)),
+            (_nonlocal_cnot_rows, dense_nonlocal_cnot, (2, 2)),
+        ],
+    )
+    def test_kernels_match_the_dense_circuit(self, kernel, dense, dims):
+        # exact amplitudes, phases and branch labels included
+        rows = random_states(dims, 20, np.random.default_rng(50))
+        amplitudes = kernel(rows)
+        for i, row in enumerate(rows):
+            assert np.max(np.abs(amplitudes[..., i] - dense(row))) <= 1e-14
+
+    def test_public_functions_are_one_row_kernel_calls(self, monkeypatch):
+        calls = []
+        for name, protocol, state in (
+            ("_teleport_rows", teleport, ket_plus()),
+            ("_nonlocal_cnot_rows", nonlocal_cnot, bell_pair()),
+        ):
+            kernel = getattr(teleport_module, name)
+
+            def spy(rows, kernel=kernel):
+                calls.append(rows.shape)
+                return kernel(rows)
+
+            monkeypatch.setattr(teleport_module, name, spy)
+            protocol(state)
+        assert calls == [(1, 2), (1, 4)]
+
+    @pytest.mark.parametrize("name", ["teleport", "nonlocal-cnot"])
+    def test_one_batched_call_gives_the_report_bytes(self, name):
+        # the per-input scenario and one kernel call over all its inputs print
+        # the same figures and pass the same checks
+        for seed in range(20):
+            doc, code = run_scenario(name, RunConfig(seed=seed))
+            min_fid, prob_err, sum_err = batched_protocol_figures(name, seed)
+            proto = doc["protocol"]
+            assert _fmt(proto["min_branch_fidelity"]) == _fmt(min_fid), seed
+            if prob_err is None:
+                assert proto["max_branch_probability_error"] is None
+            else:
+                assert _fmt(proto["max_branch_probability_error"]) == _fmt(prob_err), seed
+            assert code == 0
+            assert min_fid >= 1.0 - 1e-12 and sum_err <= 1e-12
+
+
+KERNELS = {"teleport": "_teleport_rows", "nonlocal-cnot": "_nonlocal_cnot_rows"}
+
+
+def failed_assertions(name, monkeypatch, corrupt, call) -> set[str]:
+    """Run a scenario whose ``call``-th kernel output passes through ``corrupt`` first."""
+    original = getattr(teleport_module, KERNELS[name])
+    calls = itertools.count()
+
+    def corrupted(rows):
+        amplitudes = original(rows)
+        if next(calls) == call:
+            corrupt(amplitudes[..., 0])
+        return amplitudes
+
+    monkeypatch.setattr(teleport_module, KERNELS[name], corrupted)
+    doc, _ = run_scenario(name, RunConfig())
+    return {a["name"] for a in doc["assertions"] if not a["passed"]}
+
+
+def rotate(branch):
+    """Replace one branch amplitude by an orthogonal one of the same norm."""
+
+    def corrupt(amplitudes):
+        amp = amplitudes[branch]
+        amplitudes[branch] = np.roll(amp.conj(), 1) * np.array([-1] + [1] * (amp.size - 1))
+
+    return corrupt
+
+
+def scale(branch):
+    def corrupt(amplitudes):
+        amplitudes[branch] *= 1.01
+
+    return corrupt
+
+
+class TestScenarioChecks:
+    """Every check runs on every branch of every input, with its threshold."""
+
+    @pytest.mark.parametrize("branch, call", [(0, 0), (1, 57), (3, 99)])
+    def test_teleport_checks_every_branch(self, branch, call, monkeypatch):
+        assert failed_assertions("teleport", monkeypatch, rotate(branch), call) == {
+            "all_branches_reproduce_input"
+        }
+        assert failed_assertions("teleport", monkeypatch, scale(branch), call) == {
+            "branch_probabilities_quarter",
+            "branch_probabilities_sum_to_one",
+        }
+
+    @pytest.mark.parametrize("branch, call", [(0, 0), (2, 42), (3, 99)])
+    def test_nonlocal_cnot_checks_every_branch(self, branch, call, monkeypatch):
+        assert failed_assertions("nonlocal-cnot", monkeypatch, rotate(branch), call) == {
+            "all_branches_match_direct_cnot"
+        }
+        assert failed_assertions("nonlocal-cnot", monkeypatch, scale(branch), call) == {
+            "branch_probabilities_sum_to_one"
+        }
+
+    @pytest.mark.parametrize("branch, call", [(0, 100), (3, 102)])
+    def test_nonlocal_cnot_checks_the_standard_pairs(self, branch, call, monkeypatch):
+        # the three standard pairs are the calls after the 100 drawn inputs
+        assert failed_assertions("nonlocal-cnot", monkeypatch, rotate(branch), call) == {
+            "standard_pairs_reproduced"
+        }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_a_non_finite_branch_is_refused(self, name, monkeypatch):
+        def corrupt(amplitudes):
+            amplitudes[3, 0] = np.nan
+
+        # normalizing the broken branch may itself warn
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            failed_assertions(name, monkeypatch, corrupt, 57)
