@@ -41,16 +41,18 @@ class DependentBasisError(ValueError):
 def as_vector(values, dim: int | None = None) -> np.ndarray:
     """Validate and return a 1-D complex128 copy of ``values``.
 
-    Rejects non-finite entries and dimensions outside [1, MAX_DIM].
+    Makes one copy and tests its complex entries for finiteness once;
+    rejects non-finite entries and dimensions outside [1, MAX_DIM].
+    ``PureState`` calls it once per state.
     """
-    v = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    v = np.array(values, dtype=np.complex128).ravel()
     if v.size == 0:
         raise ValueError("vector must have at least one amplitude")
     if v.size > MAX_DIM:
         raise ValueError(f"dimension {v.size} exceeds the cap of {MAX_DIM}")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v.view(np.float64))):
+    if not np.isfinite(v).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     return v
 

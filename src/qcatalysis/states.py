@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -12,7 +13,6 @@ from .linalg import (
     MAX_DIM,
     DimensionMismatchError,
     as_vector,
-    inner,
 )
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -46,6 +46,11 @@ class EntangledStateError(ValueError):
 class PureState:
     """Normalized state vector with a subsystem-dimension signature.
 
+    The one place a state is validated: ``vector`` is a read-only
+    complex128 copy, finite, of total dimension ``prod(dims)`` at most
+    MAX_DIM, with norm within 1e-8 of one.  Functions taking a PureState
+    read ``vector`` without checking it again.
+
     Index convention is row-major with the first subsystem most
     significant: for dims (dimA, dimB) the amplitude of |a>|b> sits at
     index a * dimB + b.
@@ -62,7 +67,7 @@ class PureState:
         if total > MAX_DIM:
             raise ValueError(f"total dimension {total} exceeds the cap of {MAX_DIM}")
         vec = as_vector(self.vector, dim=total)
-        n = np.linalg.norm(vec)
+        n = math.sqrt(np.vdot(vec, vec).real)
         if abs(n - 1.0) > 1e-8:
             raise ValueError(f"state vector must be normalized, norm is {n:.12f}")
         vec.setflags(write=False)
@@ -136,16 +141,39 @@ def standard_triple(kind: str) -> tuple[PureState, PureState, PureState]:
     raise ValueError(f"unknown state family {kind!r} (expected 'source' or 'target')")
 
 
+@functools.lru_cache(maxsize=64)
+def _register_operator(
+    name: str, targets: tuple[int, ...], lead: tuple[int, ...]
+) -> np.ndarray:
+    """Read-only matrix of a named gate on the ``targets`` axes of a
+    register whose leading axes have sizes ``lead``, identity on the rest:
+    the gate contracted with the target axes of every basis column.
+    Capped at MAX_DIM, so each cached matrix stays small."""
+    k = len(targets)
+    d = math.prod(lead)
+    if d > MAX_DIM:
+        raise ValueError(
+            f"gate register axes {lead} exceed the cap of {MAX_DIM}; "
+            "put batch axes after the targets"
+        )
+    u = _GATE_MATRICES[name].reshape((2,) * (2 * k))
+    cols = np.eye(d, dtype=np.complex128).reshape(lead + (d,))
+    out = np.tensordot(u, cols, axes=(range(k, 2 * k), targets))
+    op = np.moveaxis(out, range(k), targets).reshape(d, d)
+    op.setflags(write=False)
+    return op
+
+
 def _gate(name: str, targets: tuple[int, ...], reg: np.ndarray) -> np.ndarray:
     """Apply a named gate to the ``targets`` axes of a register array.
 
-    The targets may be any axes of ``reg``; the other axes, subsystems or
-    batch, are left as they are.  ``reg`` need not be normalized.
+    One matrix product of the cached register operator over the leading
+    axes up to the last target, whatever their sizes; the axes after it,
+    subsystems or batch, are left as they are.  ``reg`` need not be
+    normalized.
     """
-    k = len(targets)
-    u = _GATE_MATRICES[name].reshape((2,) * (2 * k))
-    out = np.tensordot(u, reg, axes=(range(k, 2 * k), targets))
-    return np.moveaxis(out, range(k), targets)
+    op = _register_operator(name, targets, reg.shape[: max(targets) + 1])
+    return (op @ reg.reshape(len(op), -1)).reshape(reg.shape)
 
 
 def apply_gate(gate: GateSpec, state: PureState) -> PureState:
@@ -229,12 +257,15 @@ def product_factorize(
 
 
 def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
+    """|<a|b>|^2, insensitive to global phase.
+
+    Reads both vectors as ``PureState`` validated them.
+    """
     if a.dims != b.dims:
         raise DimensionMismatchError(
             f"fidelity needs matching dims, got {a.dims} and {b.dims}"
         )
-    return min(abs(inner(a.vector, b.vector)) ** 2, 1.0)
+    return min(abs(complex(np.vdot(a.vector, b.vector))) ** 2, 1.0)
 
 
 def random_states(dims: tuple[int, ...], count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from qcatalysis import (
     standard_triple,
     tensor,
 )
+from qcatalysis.linalg import DimensionMismatchError, as_vector
+from qcatalysis.states import _gate
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -39,6 +42,71 @@ class TestPureState:
         s = ket("0")
         with pytest.raises(ValueError):
             s.vector[0] = 0.0
+
+    # (dims, amplitudes, error, PureState's message, as_vector's message
+    # given the dims' total, or None where as_vector accepts the amplitudes)
+    _FINITE = "amplitudes must be finite (no NaN/Inf)"
+    REJECTED = [
+        pytest.param((2,), [np.nan, 0.0], ValueError, _FINITE, _FINITE, id="nan"),
+        pytest.param((2,), [np.inf, 0.0], ValueError, _FINITE, _FINITE, id="inf"),
+        pytest.param((2,), [0.0, -np.inf], ValueError, _FINITE, _FINITE, id="minus-inf"),
+        pytest.param((2,), [1.0, complex(0.0, np.nan)], ValueError, _FINITE, _FINITE, id="imag-nan"),
+        pytest.param((2,), [complex(1.0, np.inf), 0.0], ValueError, _FINITE, _FINITE, id="imag-inf"),
+        # finite amplitudes whose squared norm overflows: a numpy norm
+        # reduction may warn of the overflow, the rejection is the ValueError
+        pytest.param(
+            (2,), [1e200, 0.0], ValueError,
+            "state vector must be normalized, norm is inf", None,
+            id="norm-overflow",
+            marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+        ),
+        pytest.param(
+            (1,), [], ValueError, "vector must have at least one amplitude",
+            "vector must have at least one amplitude", id="empty",
+        ),
+        pytest.param(
+            (65,), np.zeros(65), ValueError, "total dimension 65 exceeds the cap of 64",
+            "dimension 65 exceeds the cap of 64", id="above-cap",
+        ),
+        pytest.param(
+            (2,) * 7, np.zeros(128), ValueError, "total dimension 128 exceeds the cap of 64",
+            "dimension 128 exceeds the cap of 64", id="qubits-above-cap",
+        ),
+        pytest.param(
+            (2,), [1.0, 0.0, 0.0], DimensionMismatchError, "expected dimension 2, got 3",
+            "expected dimension 2, got 3", id="dimension-mismatch",
+        ),
+        pytest.param(
+            (2,), [1.0, 1.0], ValueError,
+            "state vector must be normalized, norm is 1.414213562373", None,
+            id="unnormalized",
+        ),
+    ]
+
+    @pytest.mark.parametrize("dims, values, error, message, as_vector_message", REJECTED)
+    def test_rejection_paths(self, dims, values, error, message, as_vector_message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PureState(dims, np.array(values))
+        if as_vector_message is None:
+            # finite, in range and of the right size: only PureState's norm rejects it
+            assert as_vector(values, dim=math.prod(dims)).size == len(values)
+        else:
+            with pytest.raises(error, match=f"^{re.escape(as_vector_message)}$"):
+                as_vector(values, dim=math.prod(dims))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_vector_is_a_read_only_copy(self, transposed):
+        m = np.array([[0.5, 0.5j], [-0.5, 0.5]], dtype=np.complex128)
+        raw = m.T if transposed else m.ravel()
+        expected = raw.ravel().copy()  # row-major, whatever the memory layout
+        s = PureState((2, 2), raw)
+        v = as_vector(raw)
+        raw[...] = 0.0
+        np.testing.assert_array_equal(s.vector, expected)
+        np.testing.assert_array_equal(v, expected)
+        assert not s.vector.flags.writeable
+        assert not np.shares_memory(s.vector, m)
+        assert not np.shares_memory(v, m)
 
 
 class TestStandardTriples:
@@ -117,6 +185,43 @@ class TestApplyGate:
             out = apply_gate(g, s)
             assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name, dims, targets",
+        [
+            ("X", (3, 2), (1,)),
+            ("X", (2, 3), (0,)),
+            ("X", (2, 3, 2), (2,)),
+            ("CNOT", (2, 2, 2), (0, 2)),
+            ("CNOT", (2, 2, 2), (2, 0)),
+            ("CNOT", (2, 2, 2), (1, 0)),
+        ],
+    )
+    def test_matches_dense_kronecker_reference(self, name, dims, targets):
+        rng = np.random.default_rng(23)
+        dense = _dense_gate(name, dims, targets)
+        for _ in range(5):
+            s = random_state(dims, rng)
+            out = apply_gate(GateSpec(name, targets), s)
+            np.testing.assert_allclose(out.vector, dense @ s.vector, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "name, dims, targets",
+        [("CNOT", (2, 2, 2), (2, 0)), ("H", (3, 2, 2), (1,)), ("X", (2, 3), (0,))],
+    )
+    def test_register_kernel_keeps_a_trailing_batch_axis(self, name, dims, targets):
+        rng = np.random.default_rng(24)
+        rows = random_states(dims, 7, rng)
+        reg = rows.T.reshape(dims + (7,))
+        out = _gate(name, targets, reg)
+        assert out.shape == reg.shape
+        expected = _dense_gate(name, dims, targets) @ rows.T
+        np.testing.assert_allclose(out.reshape(-1, 7), expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(reg, rows.T.reshape(dims + (7,)))
+
+    def test_register_kernel_refuses_a_leading_batch_axis_above_the_cap(self):
+        with pytest.raises(ValueError, match=r"axes \(65, 2\) exceed the cap of 64"):
+            _gate("X", (1,), np.zeros((65, 2), dtype=np.complex128))
+
     def test_self_inverse_gates(self):
         rng = np.random.default_rng(22)
         for name, targets in (("X", (0,)), ("Z", (0,)), ("H", (1,)), ("CNOT", (0, 1))):
@@ -125,6 +230,25 @@ class TestApplyGate:
                 s = random_state((2, 2), rng)
                 back = apply_gate(g, apply_gate(g, s))
                 assert np.max(np.abs(back.vector - s.vector)) < 1e-12
+
+
+def _dense_gate(name, dims, targets):
+    """The gate as a dense matrix on the whole register, one Kronecker
+    factor per subsystem: a sum over the control's basis projectors for
+    CNOT."""
+    x = np.array([[0, 1], [1, 0]])
+    single = {"X": x, "H": np.array([[1, 1], [1, -1]]) * SQ2}
+
+    def kron(factors):
+        m = np.ones((1, 1))
+        for i, d in enumerate(dims):
+            m = np.kron(m, factors.get(i, np.eye(d)))
+        return m
+
+    if name == "CNOT":
+        control, target = targets
+        return kron({control: np.diag([1, 0])}) + kron({control: np.diag([0, 1]), target: x})
+    return kron({targets[0]: single[name]})
 
 
 class TestSchmidtAndConcurrence:
