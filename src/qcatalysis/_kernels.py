@@ -1,60 +1,22 @@
-"""Batched Hermitian min-eigenvalue kernels behind the completion search.
+"""Names the benchmark tracer in ``perfbench/`` still reads; no verdict uses them.
 
-The positive-semidefinite completion search evaluates the smallest
-eigenvalue of the same small Hermitian matrix for up to tens of millions
-of candidate fillings.  Two interchangeable backends exist:
-
-* ``numba``: a jitted cyclic Jacobi solver, one candidate at a time, with
-  early exit as soon as a feasible candidate appears.
-* ``numpy``: chunked ``np.linalg.eigvalsh`` over stacked candidates.
-
-Selection: the ``QCATALYSIS_BACKEND`` environment variable forces
-``numba`` or ``numpy``; otherwise small workloads take the numpy path
-(no JIT warm-up latency) and large ones take numba when it is installed.
-Both backends scan candidates in identical order and return identical
-results, so the choice never changes a verdict.
+``complete_psd`` decides every completion exactly, so the completion-scan
+kernels that once lived here are gone and nothing under ``src/`` imports
+this module.  ``perfbench/layers.py`` and ``perfbench/test_perfbench.py``
+still import it for their scan-candidate counter, so these three names
+stay until that counter is dropped (ROADMAP item 1's benchmark change);
+the module goes with it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
-
-import numpy as np
-
-BACKEND_ENV = "QCATALYSIS_BACKEND"
-
-# workload size (candidate count) above which the JIT warm-up pays off
-_AUTO_NUMBA_THRESHOLD = 20_000
 
 _CHUNK = 8192
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
-class KernelBackendError(RuntimeError):
-    """Requested kernel backend cannot be used."""
-
 
 def resolve_backend(workload: int = 0, backend: str | None = None) -> str:
-    """Pick 'numba' or 'numpy' for a workload of ``workload`` candidates."""
-    choice = backend or os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise KernelBackendError(f"unknown backend {choice!r}")
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise KernelBackendError("numba backend requested but numba is not installed")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if HAVE_NUMBA and workload >= _AUTO_NUMBA_THRESHOLD:
-        return "numba"
+    """The one scan path there was: chunked numpy."""
     return "numpy"
 
 
@@ -62,203 +24,3 @@ class ScanResult(NamedTuple):
     found: int          # flat index of first feasible candidate, -1 if none
     best: int           # flat index with the largest min-eigenvalue seen
     best_margin: float  # that largest min-eigenvalue
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _jacobi_min_eig(a):
-        # Cyclic Jacobi for a Hermitian matrix, eigenvalues only.  Each
-        # rotation first phases the (p, q) entry real, then applies the
-        # classic real rotation; quadratic convergence, values accurate to
-        # ~1e-13 * ||a||, far below the feasibility tolerances used here.
-        n = a.shape[0]
-        if n == 1:
-            return a[0, 0].real
-        fro = 0.0
-        for i in range(n):
-            for j in range(n):
-                x = a[i, j]
-                fro += x.real * x.real + x.imag * x.imag
-        stop = 1e-28 * max(1.0, fro)
-        for _ in range(100):
-            off = 0.0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    x = a[p, q]
-                    off += x.real * x.real + x.imag * x.imag
-            if off <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    m = abs(apq)
-                    if m < 1e-300:
-                        continue
-                    ph = apq / m
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    tau = (aqq - app) / (2.0 * m)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    sph = s * np.conj(ph)
-                    for k in range(n):
-                        if k != p and k != q:
-                            akp = a[k, p]
-                            akq = a[k, q]
-                            a[k, p] = c * akp - sph * akq
-                            a[k, q] = s * akp + c * np.conj(ph) * akq
-                            a[p, k] = np.conj(a[k, p])
-                            a[q, k] = np.conj(a[k, q])
-                    a[p, p] = app - t * m
-                    a[q, q] = aqq + t * m
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-        mn = a[0, 0].real
-        for i in range(1, n):
-            if a[i, i].real < mn:
-                mn = a[i, i].real
-        return mn
-
-    @numba.njit(cache=True)
-    def _min_eigs_numba(mats):
-        m = mats.shape[0]
-        out = np.empty(m, dtype=np.float64)
-        for i in range(m):
-            out[i] = _jacobi_min_eig(mats[i].copy())
-        return out
-
-    @numba.njit(cache=True)
-    def _scan_numba(base, rows, cols, values, counts, strides, total, tol):
-        n = base.shape[0]
-        k = rows.shape[0]
-        work = np.empty((n, n), dtype=np.complex128)
-        best = -1
-        best_margin = -np.inf
-        for flat in range(total):
-            for i in range(n):
-                for j in range(n):
-                    work[i, j] = base[i, j]
-            for e in range(k):
-                idx = (flat // strides[e]) % counts[e]
-                v = values[e, idx]
-                work[rows[e], cols[e]] = v
-                work[cols[e], rows[e]] = np.conj(v)
-            margin = _jacobi_min_eig(work)
-            if margin >= -tol:
-                return flat, flat, margin
-            if margin > best_margin:
-                best_margin = margin
-                best = flat
-        return -1, best, best_margin
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _fill_chunk(base, rows, cols, values, counts, strides, flats):
-    batch = np.broadcast_to(base, (flats.size,) + base.shape).copy()
-    for e in range(rows.size):
-        idx = (flats // strides[e]) % counts[e]
-        v = values[e, idx]
-        batch[np.arange(flats.size), rows[e], cols[e]] = v
-        batch[np.arange(flats.size), cols[e], rows[e]] = np.conj(v)
-    return batch
-
-
-def _scan_numpy(base, rows, cols, values, counts, strides, total, tol):
-    best = -1
-    best_margin = -np.inf
-    for start in range(0, total, _CHUNK):
-        flats = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        batch = _fill_chunk(base, rows, cols, values, counts, strides, flats)
-        margins = np.linalg.eigvalsh(batch)[:, 0]
-        feasible = margins >= -tol
-        if feasible.any():
-            i = int(np.argmax(feasible))
-            return int(flats[i]), int(flats[i]), float(margins[i])
-        i = int(np.argmax(margins))
-        if margins[i] > best_margin:
-            best_margin = float(margins[i])
-            best = int(flats[i])
-    return -1, best, best_margin
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-
-def min_eigenvalues(mats: np.ndarray, backend: str | None = None) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a (m, n, n) stack."""
-    mats = np.ascontiguousarray(mats, dtype=np.complex128)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError(f"expected a (m, n, n) stack, got shape {mats.shape}")
-    which = resolve_backend(mats.shape[0], backend)
-    if which == "numba":
-        return _min_eigs_numba(mats)
-    return np.linalg.eigvalsh(mats)[:, 0]
-
-
-def scan_completions(
-    base: np.ndarray,
-    pairs: np.ndarray,
-    values: np.ndarray,
-    counts: np.ndarray,
-    tol: float,
-    backend: str | None = None,
-) -> ScanResult:
-    """Scan candidate fillings of ``base`` for one with min-eigenvalue >= -tol.
-
-    ``pairs`` is a (k, 2) array of (row, col) slots; candidate ``e`` of slot
-    ``i`` takes ``values[i, e]`` (``counts[i]`` valid entries per row, the
-    conjugate slot is mirrored).  Candidates are enumerated in odometer
-    order with slot 0 most significant, and the first feasible candidate in
-    that order wins, which makes the result independent of the backend.
-    """
-    base = np.ascontiguousarray(base, dtype=np.complex128)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    counts = np.asarray(counts, dtype=np.int64)
-    k = pairs.shape[0]
-    if k == 0:
-        raise ValueError("scan_completions needs at least one free slot")
-    strides = np.ones(k, dtype=np.int64)
-    for e in range(k - 2, -1, -1):
-        strides[e] = strides[e + 1] * counts[e + 1]
-    total = int(strides[0] * counts[0])
-    which = resolve_backend(total, backend)
-    rows = np.ascontiguousarray(pairs[:, 0])
-    cols = np.ascontiguousarray(pairs[:, 1])
-    if which == "numba":
-        found, best, margin = _scan_numba(
-            base, rows, cols, values, counts, strides, total, tol
-        )
-    else:
-        found, best, margin = _scan_numpy(
-            base, rows, cols, values, counts, strides, total, tol
-        )
-    return ScanResult(int(found), int(best), float(margin))
-
-
-def decode_candidate(
-    flat: int, values: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Complex value of each free slot for a flat candidate index."""
-    k = counts.size
-    out = np.empty(k, dtype=np.complex128)
-    rem = int(flat)
-    for e in range(k - 1, -1, -1):
-        out[e] = values[e, rem % counts[e]]
-        rem //= int(counts[e])
-    return out

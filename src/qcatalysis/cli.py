@@ -558,11 +558,14 @@ def _parse_amplitudes(raw, field: str, dim: int, tol: float) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
         ):
             raise SpecFileError(f"{field}[{k}]", "expected a [re, im] pair of numbers")
-        vec[k] = complex(item[0], item[1])
+        try:
+            vec[k] = complex(item[0], item[1])
+        except OverflowError as exc:
+            raise SpecFileError(f"{field}[{k}]", f"amplitude out of range: {exc}") from exc
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise SpecFileError(field, "amplitudes must be finite")
-    n = float(np.linalg.norm(vec))
-    if n == 0.0 or abs(n - 1.0) > tol:
+    n = math.sqrt(np.vdot(vec, vec).real)
+    if not math.isfinite(n) or n == 0.0 or abs(n - 1.0) > tol:
         raise SpecFileError(field, f"state is not normalized (norm {n:.12f})")
     return vec / n
 
@@ -603,11 +606,11 @@ def parse_process_spec(data, tol: float = DEFAULT_TOL) -> ProcessSpec:
 def load_process_spec(path, tol: float = DEFAULT_TOL) -> ProcessSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError("file", f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError("file", f"invalid JSON: {exc}") from exc
     return parse_process_spec(data, tol)
 

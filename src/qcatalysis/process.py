@@ -221,6 +221,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128).copy()
+        if not np.isfinite(m).all():
+            raise ValueError("amplitudes must be finite (no NaN/Inf)")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL:

@@ -68,7 +68,8 @@ class PureState:
             raise ValueError(f"total dimension {total} exceeds the cap of {MAX_DIM}")
         vec = as_vector(self.vector, dim=total)
         n = math.sqrt(np.vdot(vec, vec).real)
-        if abs(n - 1.0) > 1e-8:
+        # an overflowing |z|^2 can make the norm NaN, which no bound rejects
+        if not math.isfinite(n) or abs(n - 1.0) > 1e-8:
             raise ValueError(f"state vector must be normalized, norm is {n:.12f}")
         vec.setflags(write=False)
         object.__setattr__(self, "dims", dims)

@@ -14,6 +14,7 @@ from qcatalysis import (
     GateSpec,
     NONLOCAL_CNOT_LEDGER,
     TELEPORT_LEDGER,
+    ProcessSpec,
     PureState,
     apply_gate,
     apply_process,
@@ -33,7 +34,6 @@ from qcatalysis import (
     product_factorize,
     random_state,
     schmidt_coefficients,
-    span_coefficients,
     standard_triple,
     teleport,
     tensor,
@@ -270,17 +270,18 @@ def test_criterion_8_property_suites_and_determinism():
         ok &= np.max(np.abs(tensor(a, b).vector - s.vector)) < 1e-9
         cases += 1
 
-    # expansion residual matches resynthesis distance
+    # the span map solves least squares: the residual is orthogonal to the inputs
     for _ in range(100):
         dim = int(rng.integers(2, 7))
         k = int(rng.integers(1, dim + 1))
-        basis = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(k)]
-        target = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        gram = np.array([[np.vdot(x, y) for y in basis] for x in basis])
-        if np.linalg.eigvalsh(gram)[0] <= 1e-6:
+        inputs = [random_state((dim, 1), rng) for _ in range(k)]
+        a = np.column_stack([s.vector for s in inputs])
+        if np.linalg.eigvalsh(a.conj().T @ a)[0] <= 1e-6:
             continue
-        coeff, residual = span_coefficients(basis, target)
-        ok &= abs(np.linalg.norm(target - np.column_stack(basis) @ coeff) - residual) < 1e-9
+        spec = ProcessSpec(dim, 1, tuple((s, s) for s in inputs))
+        target = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        coeff = spec.span_map @ target
+        ok &= np.linalg.norm(a.conj().T @ (target - a @ coeff)) <= 1e-9
         cases += 1
 
     # Gram matrices of normalized states are PSD with unit diagonal

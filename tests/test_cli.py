@@ -174,10 +174,16 @@ class TestSpecFiles:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(SpecFileError) as exc:
-            load_process_spec(path)
-        assert exc.value.field == "file"
+        payloads = (
+            b"{not json",
+            b'{"version": 1, "note": "\xe9"}',  # not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+        )
+        for payload in payloads:
+            path.write_bytes(payload)
+            with pytest.raises(SpecFileError) as exc:
+                load_process_spec(path)
+            assert exc.value.field == "file"
 
     def test_tolerance_flag_governs_normalization(self, tmp_path):
         loose = json.loads(json.dumps(IDENTITY_FILE))
@@ -198,8 +204,24 @@ class TestSpecFiles:
             (lambda d: d.update(pairs=[]), "pairs"),
             (lambda d: d["pairs"][0].pop("out"), "pairs[0]"),
             (lambda d: d["pairs"][0].update({"in": [[1, 0]]}), "pairs[0].in"),
+            pytest.param(
+                lambda d: d["pairs"][0]["in"][0].__setitem__(0, 10**400),
+                "pairs[0].in[0]",
+                id="int-beyond-float",
+            ),
+            pytest.param(
+                lambda d: d["pairs"][0]["in"][0].__setitem__(0, 1e200),
+                "pairs[0].in",
+                id="norm-overflow",
+            ),
+            pytest.param(
+                lambda d: d["pairs"][0]["in"].__setitem__(3, [1e300, 1e300]),
+                "pairs[0].in",
+                id="norm-not-a-number",
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_schema_violations_name_field(self, mutate, field):
         data = json.loads(json.dumps(IDENTITY_FILE))
         mutate(data)

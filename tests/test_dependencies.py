@@ -1,7 +1,7 @@
 """The package runs on numpy alone.
 
-No scipy module is needed or loaded, and no verdict loads the unused
-completion-scan kernels or numba.
+No scipy module is needed or loaded, and no verdict loads the
+``_kernels`` module that only the benchmark tracer reads.
 """
 
 import os
@@ -58,9 +58,8 @@ def test_verdicts_load_no_scan_kernels():
         "assert len(qcatalysis.environment_gram(spec).free_pairs()) == 3\n"
         "assert qcatalysis.classify(spec).verdict.is_realizable\n"
         "assert cli.main(['run', 'cloning', '--output', os.devnull]) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m == 'qcatalysis._kernels' or m.split('.')[0] == 'numba'))\n"
+        "print('qcatalysis._kernels' in sys.modules)\n"
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "False"

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatalysis.linalg import (
-    DependentBasisError,
-    DimensionMismatchError,
-    hermitian_eigenvalues,
-    inner,
-    phase_aligned_distance,
-    span_coefficients,
-    tensor,
-)
+from qcatalysis.linalg import DimensionMismatchError, inner, phase_aligned_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -27,37 +19,6 @@ def amplitudes(dim):
     return st.lists(
         st.tuples(reals, reals), min_size=dim, max_size=dim
     ).map(lambda pairs: np.array([complex(r, i) for r, i in pairs]))
-
-
-def unit_vectors(dim):
-    return (
-        amplitudes(dim)
-        .filter(lambda v: np.linalg.norm(v) > 1e-3)
-        .map(lambda v: v / np.linalg.norm(v))
-    )
-
-
-class TestTensor:
-    def test_basis_case(self):
-        np.testing.assert_array_equal(tensor(KET0, KET0), [1, 0, 0, 0])
-
-    def test_plus_times_zero(self):
-        np.testing.assert_allclose(tensor(PLUS, KET0), [SQ2, 0, SQ2, 0])
-
-    def test_rejects_dimension_cap(self):
-        big = np.zeros(64)
-        big[0] = 1.0
-        with pytest.raises(ValueError, match="cap"):
-            tensor(big, KET0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            tensor(np.array([np.nan, 0.0]), KET0)
-
-    @given(unit_vectors(3), unit_vectors(4))
-    @settings(max_examples=100, deadline=None)
-    def test_norm_multiplicative(self, u, v):
-        assert abs(np.linalg.norm(tensor(u, v)) - 1.0) < 1e-12
 
 
 class TestInner:
@@ -88,89 +49,6 @@ class TestInner:
         lhs = inner(u, 0.3j * v + 2.0 * w)
         rhs = 0.3j * inner(u, v) + 2.0 * inner(u, w)
         assert abs(lhs - rhs) < 1e-12
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_all_ones_rank_one(self):
-        np.testing.assert_allclose(
-            hermitian_eigenvalues(np.ones((3, 3))), [0, 0, 3], atol=1e-12
-        )
-
-    def test_hand_derived_two_by_two(self):
-        # characteristic polynomial (1 - x)^2 - 2 = 0 gives 1 -+ sqrt(2)
-        m = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(2.0), 1.0]])
-        np.testing.assert_allclose(
-            hermitian_eigenvalues(m), [1.0 - math.sqrt(2.0), 1.0 + math.sqrt(2.0)]
-        )
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_trace_matches_eigenvalue_sum(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            m = (m + m.conj().T) / 2.0
-            vals = hermitian_eigenvalues(m)
-            assert list(vals) == sorted(vals)
-            assert abs(vals.sum() - np.trace(m).real) < 1e-9
-
-
-class TestSpanCoefficients:
-    def test_target_is_first_basis_vector(self):
-        basis = [KET0, KET1]
-        coeff, residual = span_coefficients(basis, KET0)
-        np.testing.assert_allclose(coeff, [1, 0], atol=1e-12)
-        assert residual < 1e-12
-
-    def test_copying_task_superposition(self):
-        # |+>|0> expands over the copying-task inputs with weights 1/sqrt(2)
-        basis = [
-            np.kron(KET0, KET0),
-            np.kron(KET1, KET0),
-            np.kron(PLUS, PLUS),
-        ]
-        target = np.kron(PLUS, KET0)
-        coeff, residual = span_coefficients(basis, target)
-        np.testing.assert_allclose(coeff, [SQ2, SQ2, 0.0], atol=1e-12)
-        assert residual < 1e-12
-
-    def test_orthogonal_target_residual_is_norm(self):
-        basis = [np.array([1.0, 0.0, 0.0])]
-        target = np.array([0.0, 0.0, 1.0])
-        _, residual = span_coefficients(basis, target)
-        assert abs(residual - 1.0) < 1e-12
-
-    def test_dependent_basis_reports_eigenvalue(self):
-        with pytest.raises(DependentBasisError) as exc:
-            span_coefficients([KET0, KET0], KET1)
-        assert exc.value.min_gram_eigenvalue < 1e-12
-
-    def test_resynthesis_distance_equals_residual(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            dim = int(rng.integers(2, 9))
-            k = int(rng.integers(1, dim + 1))
-            basis = [
-                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                for _ in range(k)
-            ]
-            target = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            try:
-                coeff, residual = span_coefficients(basis, target)
-            except DependentBasisError:
-                continue
-            synth = np.column_stack(basis) @ coeff
-            assert abs(np.linalg.norm(target - synth) - residual) < 1e-9
 
 
 def test_phase_aligned_distance_ignores_phase():

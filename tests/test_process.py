@@ -9,6 +9,7 @@ from helpers import (
     trace_out_environment,
 )
 from qcatalysis import (
+    DensityMatrix,
     DependentBasisError,
     EnvironmentGram,
     EnvironmentsDifferError,
@@ -417,6 +418,33 @@ class TestApplyProcess:
             direct = apply_process(spec, verdict, state).vector
             via_iso = v @ vec  # one-dimensional environment drops out
             assert np.max(np.abs(direct - via_iso)) < 1e-9
+
+
+class TestDensityMatrix:
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.full((2, 2), np.nan), "amplitudes must be finite"),
+            ([[0.5, np.nan], [np.nan, 0.5]], "amplitudes must be finite"),
+            ([[np.inf, 0.0], [0.0, 0.0]], "amplitudes must be finite"),
+            (np.ones((2, 3)) / 2.0, "expected a square matrix"),
+            ([0.5, 0.5], "expected a square matrix"),
+            ([[0.5, 0.1], [0.0, 0.5]], "density matrix must be Hermitian"),
+            (np.eye(2), "density matrix must have unit trace"),
+            ([[1.5, 0.0], [0.0, -0.5]], "density matrix must be positive semidefinite"),
+        ],
+        ids=["nan", "nan-coherence", "inf", "not-square", "vector", "not-hermitian",
+             "trace-two", "not-psd"],
+    )
+    def test_rejects(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(matrix)
+
+    def test_accepts_mixed_state_read_only(self):
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        assert rho.dim == 2
+        assert rho.purity() == pytest.approx(0.5)
+        assert not rho.matrix.flags.writeable
 
 
 class TestOutputDensity:

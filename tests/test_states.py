@@ -94,6 +94,11 @@ class TestPureState:
             with pytest.raises(error, match=f"^{re.escape(as_vector_message)}$"):
                 as_vector(values, dim=math.prod(dims))
 
+    def test_rejects_norm_that_is_not_a_number(self):
+        # |z|^2 overflows in both parts: the BLAS inner product may return NaN
+        with pytest.raises(ValueError, match="^state vector must be normalized, norm is"):
+            PureState((2,), np.array([complex(1e300, 1e300), 0.0]))
+
     @pytest.mark.parametrize("transposed", [False, True])
     def test_vector_is_a_read_only_copy(self, transposed):
         m = np.array([[0.5, 0.5j], [-0.5, 0.5]], dtype=np.complex128)
