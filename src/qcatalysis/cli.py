@@ -1,7 +1,8 @@
 """Scenario runner, process-file checking, and report emission.
 
 Exit codes: 0 pass, 1 negative classification, 2 scenario assertion
-failure, 3 undetermined, 64 usage error, 65 data error, 70 internal error.
+failure, 3 undetermined, 64 usage error, 65 data error, 70 internal error,
+73 report not written.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ EXIT_UNDETERMINED = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 _PROTOCOL_INPUTS = 100
 
@@ -314,18 +316,12 @@ def _isometry_checks(spec: ProcessSpec, report: CatalysisReport, tol: float):
     v = construct_isometry(spec, report.verdict, tol)
     sig = environment_vectors(report.verdict.completed_gram)
     r = sig.shape[0]
-    unitary = bool(
-        np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-9
-    )
-    e0 = np.zeros(r, dtype=np.complex128)
-    e0[0] = 1.0
-    pairs_ok = True
-    for i, (a, b) in enumerate(spec.pairs):
-        got = v @ np.kron(a.vector, e0)
-        wanted = np.kron(b.vector, sig[:, i])
-        if abs(np.vdot(wanted, got)) ** 2 < 1.0 - 1e-12:
-            pairs_ok = False
-    return unitary, pairs_ok, r
+    unitary = bool(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-9)
+    # column i: V (a_i (x) e0), and b_i (x) s_i
+    got = v[:, ::r] @ spec.input_matrix()
+    wanted = (spec.output_matrix()[:, None, :] * sig[None, :, :]).reshape(got.shape)
+    overlaps = np.abs(np.sum(wanted.conj() * got, axis=0)) ** 2
+    return unitary, not np.any(overlaps < 1.0 - 1e-12), r
 
 
 def _scenario_cloning(config: RunConfig) -> tuple[dict, int]:
@@ -468,18 +464,26 @@ def _protocol_doc(name, config, ledger, min_fid, max_prob_err) -> dict:
     return doc
 
 
-def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
-    rng = np.random.default_rng(config.seed)
-    min_fid = 1.0
-    max_prob_err = 0.0
-    max_sum_err = 0.0
+def _protocol_figures(protocol, dims, wanted, seed: int):
+    """Worst branch fidelity to ``wanted(state)``, branch probability error from
+    1/4 and probability-sum error over the seeded inputs, and the last ledger."""
+    rng = np.random.default_rng(seed)
+    min_fid, max_prob_err, max_sum_err = 1.0, 0.0, 0.0
     for _ in range(_PROTOCOL_INPUTS):
-        state = random_state((2,), rng)
-        branches, ledger = teleport(state)
+        state = random_state(dims, rng)
+        target = wanted(state)
+        branches, ledger = protocol(state)
         for b in branches:
-            min_fid = min(min_fid, fidelity(b.post_state, state))
+            min_fid = min(min_fid, fidelity(b.post_state, target))
             max_prob_err = max(max_prob_err, abs(b.probability - 0.25))
         max_sum_err = max(max_sum_err, abs(sum(b.probability for b in branches) - 1.0))
+    return min_fid, max_prob_err, max_sum_err, ledger
+
+
+def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
+    min_fid, max_prob_err, max_sum_err, ledger = _protocol_figures(
+        teleport, (2,), lambda state: state, config.seed
+    )
     checks = [
         ("all_branches_reproduce_input", min_fid >= 1.0 - 1e-12),
         ("branch_probabilities_quarter", max_prob_err <= 1e-12),
@@ -491,17 +495,10 @@ def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
 
 
 def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
-    rng = np.random.default_rng(config.seed)
     gate = GateSpec("CNOT", (0, 1))
-    min_fid = 1.0
-    max_sum_err = 0.0
-    for _ in range(_PROTOCOL_INPUTS):
-        state = random_state((2, 2), rng)
-        target = apply_gate(gate, state)
-        branches, ledger = nonlocal_cnot(state)
-        for b in branches:
-            min_fid = min(min_fid, fidelity(b.post_state, target))
-        max_sum_err = max(max_sum_err, abs(sum(b.probability for b in branches) - 1.0))
+    min_fid, _, max_sum_err, ledger = _protocol_figures(
+        nonlocal_cnot, (2, 2), lambda state: apply_gate(gate, state), config.seed
+    )
     pairs_ok = all(
         fidelity(b.post_state, tensor(t, t)) >= 1.0 - 1e-12
         for t, s in zip(standard_triple("target"), standard_triple("source"))
@@ -574,8 +571,9 @@ def parse_process_spec(data, tol: float = DEFAULT_TOL) -> ProcessSpec:
     """Build a ProcessSpec from the documented JSON mapping."""
     if not isinstance(data, dict):
         raise SpecFileError("document", "top level must be a JSON object")
-    if data.get("version") != 1:
-        raise SpecFileError("version", f"unsupported version {data.get('version')!r}")
+    version = data.get("version")
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+        raise SpecFileError("version", f"unsupported version {version!r}")
     dims = []
     for key in ("dimA", "dimB"):
         value = data.get(key)
@@ -699,7 +697,14 @@ def main(argv=None) -> int:
             doc, code = check_spec_file(ns.path, config)
         payload = emit_report(doc, config.format)
         if ns.output:
-            Path(ns.output).write_bytes(payload)
+            try:
+                Path(ns.output).write_bytes(payload)
+            except OSError as exc:
+                print(
+                    f"qcatalysis: cannot write report to {ns.output}: {exc.strerror or exc}",
+                    file=sys.stderr,
+                )
+                return EXIT_CANTCREAT
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()

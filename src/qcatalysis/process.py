@@ -65,14 +65,16 @@ class EnvironmentsDifferError(ValueError):
 class ProcessSpec:
     """Ordered (input, output) pure-state pairs on a fixed A(x)B split.
 
-    The spec owns the span of its inputs and its one independence rule: a
-    smallest input Gram eigenvalue at or below DEFAULT_TOL raises
-    DependentBasisError, whatever tolerance a later call is given.  On an
-    independent family the check and one complete QR A = QR run once, cached.
-    ``require_independent_inputs=False`` admits a dependent family so that
-    the overlap-ratio feasibility argument (which never needs independence)
-    can certify a negative control; every span-based operation still
-    raises on it when first used.
+    The input and output matrices A and B (one column per pair) and their
+    Gram matrices A^H A and B^H B are built once, read-only, and every layer
+    reads them from here.  The spec also owns the span of its inputs and its
+    one independence rule: a smallest input Gram eigenvalue at or below
+    DEFAULT_TOL raises DependentBasisError, whatever tolerance a later call
+    is given.  On an independent family the check and one complete QR
+    A = QR run once, cached.  ``require_independent_inputs=False`` admits a
+    dependent family so that the overlap-ratio feasibility argument (which
+    never needs independence) can certify a negative control; every
+    span-based operation still raises on it when first used.
     """
 
     dim_a: int
@@ -101,25 +103,28 @@ class ProcessSpec:
     def n(self) -> int:
         return len(self.pairs)
 
-    @property
-    def inputs(self) -> tuple[PureState, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def outputs(self) -> tuple[PureState, ...]:
-        return tuple(b for _, b in self.pairs)
-
     def input_matrix(self) -> np.ndarray:
-        """(d, n) matrix whose columns are the input vectors."""
-        return np.column_stack([a.vector for a, _ in self.pairs])
+        """(d, n) matrix A whose columns are the input vectors; read-only."""
+        return self._arrays[0]
 
     def output_matrix(self) -> np.ndarray:
-        return np.column_stack([b.vector for _, b in self.pairs])
+        """(d, n) matrix B whose columns are the output vectors; read-only."""
+        return self._arrays[1]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A, B and their Gram matrices A^H A and B^H B, built once, read-only."""
+        a = np.column_stack([a.vector for a, _ in self.pairs])
+        b = np.column_stack([b.vector for _, b in self.pairs])
+        arrays = (a, b, a.conj().T @ a, b.conj().T @ b)
+        for m in arrays:
+            m.setflags(write=False)
+        return arrays
 
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.input_matrix()
-        eigs, vecs = np.linalg.eigh(a.conj().T @ a)
+        a, _, g_in, _ = self._arrays
+        eigs, vecs = np.linalg.eigh(g_in)
         if eigs[0] <= DEFAULT_TOL:
             # the inputs that the near-null combination involves
             involved = np.flatnonzero(abs(vecs[:, 0]) > DEFAULT_TOL)
@@ -155,8 +160,7 @@ class EnvironmentGram:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128).copy()
         known = np.asarray(self.known, dtype=bool).copy()
-        n = values.shape[0]
-        if values.shape != (n, n) or known.shape != (n, n):
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or known.shape != values.shape:
             raise ValueError("values and known must be square and congruent")
         if not np.array_equal(known, known.T):
             raise ValueError("determined pattern must be symmetric")
@@ -242,16 +246,6 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def gram_matrix(states) -> np.ndarray:
-    """Overlap matrix G[i, j] = <state_i | state_j>."""
-    vecs = [s.vector for s in states]
-    dims = {s.dims for s in states}
-    if len(dims) > 1:
-        raise ValueError(f"states must share dims, got {sorted(dims)}")
-    m = np.column_stack(vecs)
-    return m.conj().T @ m
-
-
 def environment_gram(
     spec: ProcessSpec, tol: float = DEFAULT_TOL
 ) -> EnvironmentGram | FeasibilityVerdict:
@@ -262,8 +256,7 @@ def environment_gram(
     nonvanishing input one, or a forced modulus above one, is immediately
     infeasible (no unit environment vectors can satisfy it).
     """
-    g_in = gram_matrix(spec.inputs)
-    g_out = gram_matrix(spec.outputs)
+    _, _, g_in, g_out = spec._arrays
     n = spec.n
     values = np.eye(n, dtype=np.complex128)
     known = np.eye(n, dtype=bool)
@@ -505,10 +498,10 @@ def construct_isometry(
     sig = environment_vectors(verdict.completed_gram)
     r = sig.shape[0]
     d, n = q.shape[0], spec.n
-    a = spec.input_matrix()
+    _, b, g_in, _ = spec._arrays
     # column i is b_i (x) s_i
-    y = (spec.output_matrix()[:, None, :] * sig[None, :, :]).reshape(d * r, n)
-    mismatch = float(np.max(np.abs(a.conj().T @ a - y.conj().T @ y)))
+    y = (b[:, None, :] * sig[None, :, :]).reshape(d * r, n)
+    mismatch = float(np.max(np.abs(g_in - y.conj().T @ y)))
     if mismatch > max(tol, 1e-9) * 10.0:
         raise RuntimeError(
             f"input and dressed-output Gram matrices differ by {mismatch:.3e}; "

@@ -228,7 +228,7 @@ class TestClassify:
         assert report.classification == NO_WITNESS_FOUND
         assert report.witness is None
         # superposing the two inputs decoheres: purity drops below one
-        vec = spec.inputs[0].vector + spec.inputs[1].vector
+        vec = spec.pairs[0][0].vector + spec.pairs[1][0].vector
         from qcatalysis import PureState
 
         probe = PureState((2, 2), vec / np.linalg.norm(vec))

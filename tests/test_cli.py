@@ -4,10 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import near_dependent_identity_spec
-from qcatalysis import classify, cloning_process, deletion_process
+from helpers import near_dependent_identity_spec, random_realizable_spec
+from qcatalysis import (
+    classify,
+    cloning_process,
+    construct_isometry,
+    deletion_process,
+    environment_vectors,
+)
 from qcatalysis.cli import (
     EXIT_ASSERTION,
+    EXIT_CANTCREAT,
     EXIT_DATA,
     EXIT_INTERNAL,
     EXIT_NEGATIVE,
@@ -78,6 +85,31 @@ class TestScenarios:
     def test_sweep_report_has_requested_points(self):
         doc, _ = run_scenario("deletion-sweep", RunConfig(steps=12))
         assert len(doc["sweep"]) == 12
+
+    def test_isometry_pair_check_matches_per_pair_reference(self, monkeypatch):
+        # every other unitary has its columns shuffled, so both answers occur
+        import qcatalysis.cli as cli
+
+        rng = np.random.default_rng(41)
+        seen = {True: 0, False: 0}
+        for k in range(40):
+            spec, _ = random_realizable_spec(rng)
+            report = classify(spec)
+            v = construct_isometry(spec, report.verdict)
+            if k % 2:
+                v = v[:, rng.permutation(v.shape[1])]
+            monkeypatch.setattr(cli, "construct_isometry", lambda *args: v)
+            sig = environment_vectors(report.verdict.completed_gram)
+            e0 = np.eye(sig.shape[0])[0]
+            expected = all(
+                abs(np.vdot(np.kron(b.vector, sig[:, i]), v @ np.kron(a.vector, e0))) ** 2
+                >= 1.0 - 1e-12
+                for i, (a, b) in enumerate(spec.pairs)
+            )
+            unitary, pairs_ok, r = cli._isometry_checks(spec, report, 1e-9)
+            assert (unitary, pairs_ok, r) == (True, expected, sig.shape[0])
+            seen[expected] += 1
+        assert min(seen.values()) >= 10
 
 
 class TestEmission:
@@ -199,6 +231,8 @@ class TestSpecFiles:
         "mutate,field",
         [
             (lambda d: d.update(version=2), "version"),
+            pytest.param(lambda d: d.update(version=True), "version", id="version-bool"),
+            pytest.param(lambda d: d.update(version=1.0), "version", id="version-float"),
             (lambda d: d.update(dimA=0), "dimA"),
             (lambda d: d.update(dimA=9, dimB=9), "dimA"),
             (lambda d: d.update(pairs=[]), "pairs"),
@@ -246,6 +280,16 @@ class TestMainEntryPoint:
         doc = json.loads(out.read_bytes())
         assert doc["classification"] == "not_catalysis"
         assert doc["verdict"]["certificate"]["reason"] == "modulus_violation"
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_is_not_an_internal_error(self, where, tmp_path, capsys):
+        out = tmp_path / where
+        assert main(["run", "no-info-cloning", "--output", str(out)]) == EXIT_CANTCREAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"qcatalysis: cannot write report to {out}: ")
+        assert "internal error" not in captured.err
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE

@@ -28,7 +28,6 @@ from qcatalysis import (
     deletion_process,
     environment_gram,
     environment_vectors,
-    gram_matrix,
     ket,
     ket_plus,
     output_density,
@@ -61,31 +60,17 @@ class TestProcessSpec:
         spec = uninformed_cloning_process()
         assert spec.n == 3
 
-
-class TestGramMatrix:
-    def test_copying_inputs(self):
-        g = gram_matrix(cloning_process().inputs)
-        np.testing.assert_allclose(g[0, 1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(g[0, 2], 0.5, atol=1e-12)
-        np.testing.assert_allclose(g[1, 2], 0.5, atol=1e-12)
-
-    def test_copying_outputs(self):
-        g = gram_matrix(cloning_process().outputs)
-        np.testing.assert_allclose(g[0, 1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(g[0, 2], 0.5, atol=1e-12)
-        np.testing.assert_allclose(g[1, 2], 0.5, atol=1e-12)
-
-    def test_identical_states_give_all_ones(self):
-        g = gram_matrix([ket("01")] * 3)
-        np.testing.assert_allclose(g, np.ones((3, 3)), atol=1e-12)
-
-    def test_always_psd_with_unit_diagonal(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            states = [random_state((2, 2), rng) for _ in range(4)]
-            g = gram_matrix(states)
-            np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-12)
-            assert np.linalg.eigvalsh(g)[0] > -1e-12
+    @pytest.mark.parametrize("side", [0, 1], ids=["input", "output"])
+    def test_matrices_are_built_once_and_read_only(self, side):
+        spec = uninformed_cloning_process()
+        get = spec.input_matrix if side == 0 else spec.output_matrix
+        m = get()
+        assert get() is m
+        expected = np.column_stack([pair[side].vector for pair in spec.pairs])
+        assert m.shape == (4, 3)
+        assert np.array_equal(m, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
 
 
 class TestEnvironmentGram:
@@ -161,7 +146,7 @@ class TestEnvironmentGram:
             n = int(rng.integers(2, 5))
             inputs = [random_state((2, 2), rng) for _ in range(n)]
             outputs = [random_state((2, 2), rng) for _ in range(n)]
-            g = gram_matrix(inputs)
+            g = np.array([[np.vdot(a.vector, b.vector) for b in inputs] for a in inputs])
             if np.linalg.eigvalsh(g)[0] < 1e-6:
                 continue
             spec = ProcessSpec(2, 2, tuple(zip(inputs, outputs)))
@@ -170,8 +155,8 @@ class TestEnvironmentGram:
                 verdict.certificate.reason == "modulus_violation"
             ):
                 i, j = verdict.certificate.pair
-                gi = gram_matrix(spec.inputs)[i, j]
-                go = gram_matrix(spec.outputs)[i, j]
+                gi = np.vdot(inputs[i].vector, inputs[j].vector)
+                go = np.vdot(outputs[i].vector, outputs[j].vector)
                 assert abs(gi) > abs(go) + 1e-9
                 checked += 1
         assert checked > 20
@@ -258,6 +243,9 @@ class TestCompletePsd:
         toobig[0, 1] = toobig[1, 0] = 1.5
         with pytest.raises(ValueError, match="modulus"):
             EnvironmentGram(toobig, np.ones((2, 2), bool))
+        for scalar_or_row in (1.0, [1.0]):
+            with pytest.raises(ValueError, match="square and congruent"):
+                EnvironmentGram(scalar_or_row, np.ones(np.shape(scalar_or_row), bool))
 
     def test_verdict_grams_are_valid(self):
         rng = np.random.default_rng(33)
@@ -374,8 +362,8 @@ class TestApplyProcess:
     @pytest.mark.parametrize(
         "operation",
         [
-            lambda spec, verdict: apply_process(spec, verdict, spec.inputs[0]),
-            lambda spec, verdict: output_density(spec, verdict, spec.inputs[0]),
+            lambda spec, verdict: apply_process(spec, verdict, spec.pairs[0][0]),
+            lambda spec, verdict: output_density(spec, verdict, spec.pairs[0][0]),
             lambda spec, verdict: construct_isometry(spec, verdict, 1e-2),
         ],
         ids=["apply_process", "output_density", "construct_isometry"],
@@ -402,7 +390,7 @@ class TestApplyProcess:
                 break
         verdict = decide_feasibility(spec)
         with pytest.raises(EnvironmentsDifferError):
-            apply_process(spec, verdict, spec.inputs[0])
+            apply_process(spec, verdict, spec.pairs[0][0])
 
     def test_agrees_with_isometry_route(self):
         rng = np.random.default_rng(36)
