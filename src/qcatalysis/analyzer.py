@@ -43,15 +43,21 @@ SEPARABLE_CUTOFF = 1e-9
 WITNESS_CUTOFF = 1e-6
 
 # the A-factor scan: a Fibonacci lattice on the Bloch sphere (spacing about
-# 0.08 rad), then rounds of a local grid around the best point whose first
-# step, in the tangent plane of the spinor, spans about one lattice spacing
+# 0.08 rad), then rounds of a local grid around each of its best local maxima
+# whose first step, in the tangent plane of the spinor, spans about one
+# lattice spacing; a later start wins only by more than _START_MARGIN, as
+# refined scores of equal peaks differ by up to about 1e-11
 _GRID_POINTS = 2048
+_MAX_STARTS = 8
+_START_MARGIN = 1e-9
 _REFINE_STEP = 0.04
 _REFINE_ROUNDS = 5
 _REFINE_SHRINK = 6.0
 _REFINE_OFFSETS = (
     np.linspace(-1.0, 1.0, 9)[:, None] + 1j * np.linspace(-1.0, 1.0, 9)[None, :]
 ).ravel()
+# the columns conj(x[::-1]) * _TANGENT_SIGNS are orthogonal to the columns x
+_TANGENT_SIGNS = np.array([[-1.0], [1.0]])
 
 # alternating projections per start in the search for other dimensions
 _PROJECTION_STEPS = 200
@@ -209,7 +215,8 @@ def _stage_candidates_canonical(
 ) -> np.ndarray:
     """Coefficients of each sum a_i + a_j, then, on two qubits, of each
     named product input lying within ``tol`` of the span."""
-    i, j = np.triu_indices(spec.n, 1)
+    k = np.arange(spec.n)
+    i, j = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a fifth of its cost
     eye = np.eye(spec.n, dtype=np.complex128)
     rows = eye[i] + eye[j]
     if (spec.dim_a, spec.dim_b) == (2, 2):
@@ -220,14 +227,53 @@ def _stage_candidates_canonical(
 
 
 def _spinor_grid(count: int) -> np.ndarray:
-    """Unit spinors of a Fibonacci lattice on the Bloch sphere, (count, 2)."""
+    """Unit spinors of a Fibonacci lattice on the Bloch sphere, one per column."""
     k = np.arange(count) + 0.5
     z = 1.0 - 2.0 * k / count
     phase = np.exp(1j * math.pi * (1.0 + math.sqrt(5.0)) * k)
-    return np.column_stack([np.sqrt((1.0 + z) / 2.0), phase * np.sqrt((1.0 - z) / 2.0)])
+    return np.stack([np.sqrt((1.0 + z) / 2.0) + 0j, phase * np.sqrt((1.0 - z) / 2.0)])
+
+
+# the monomials v = (x0^2, x0 x1, x1^2) of a spinor x are x[_MONO_LEFT] * x[_MONO_RIGHT]
+_MONO_LEFT = np.array([0, 0, 1])
+_MONO_RIGHT = np.array([0, 1, 1])
+
+
+def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
+    """(6, N) indices of the nearest lattice points of each column of ``grid``.
+
+    On a Fibonacci lattice the nearest neighbours of point k lie at k +- F_j
+    for Fibonacci numbers F_j, so only those offsets are compared.  On the
+    2048-point grid these are the six nearest points everywhere but at the
+    two poles, whose sixth is the eighth nearest.
+    """
+    n = grid.shape[1]
+    fib = [1, 2]
+    while fib[-1] + fib[-2] < n:
+        fib.append(fib[-1] + fib[-2])
+    # |<x_k|x_k+f>| by offset f = +F_j, then -F_j; -1 where k + f is off the grid
+    overlap = np.full((2 * len(fib), n), -1.0)
+    for row, f in enumerate(fib):
+        pair = np.abs(np.sum(grid[:, :-f].conj() * grid[:, f:], axis=0))
+        overlap[row, :-f] = pair
+        overlap[len(fib) + row, f:] = pair
+    order = np.argsort(-overlap, axis=0, kind="stable")[:6]
+    return np.arange(n) + np.array(fib + [-f for f in fib])[order]
+
+
+def _monomial_products(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v_m v_n and conj(v_m) v_n, (9, N) each, for the monomials v of each column of xs.
+
+    v^T S v and v^H H v at every column are then S.ravel() and H.ravel()
+    times one of the two tables.
+    """
+    v = xs[_MONO_LEFT] * xs[_MONO_RIGHT]
+    return (v[:, None] * v).reshape(9, -1), (v.conj()[:, None] * v).reshape(9, -1)
 
 
 _SPINOR_GRID = _spinor_grid(_GRID_POINTS)
+_GRID_NEIGHBOURS = _grid_neighbours(_SPINOR_GRID)
+_GRID_PRODUCTS = _monomial_products(_SPINOR_GRID)
 
 
 def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -283,22 +329,36 @@ def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ np.linalg.solve(r, top[:k] + 1j * top[k:])
 
 
-def _scan(score) -> np.ndarray:
-    """Spinor x maximizing ``score``: best grid point, then shrinking local grids.
+def _scan(score, grid_scores: np.ndarray) -> np.ndarray:
+    """Unit spinor x maximizing ``score``: grid peaks, then shrinking local grids.
 
-    Each round evaluates a 9x9 grid x + t x_perp in the tangent plane and
-    moves to its best point; the next round's grid spans a little more than
-    one cell of this one.
+    ``score`` maps a (2, N) batch of column spinors to N scores and does not
+    change under x -> lambda x, so no candidate is normalized; ``grid_scores``
+    are its values on the columns of _SPINOR_GRID.  The starts are the
+    grid's local maxima (no lower than their six nearest neighbours), best
+    first, at most _MAX_STARTS, refined together in one batch: each round
+    scores a 9x9 grid x + t x_perp in the tangent plane of every start and
+    moves each to its best point, the first on a tie; the next round's grid
+    spans a little more than one cell of this one.  x_perp has the norm of
+    x, so the points are carried unnormalized (their norm grows by under
+    0.2 %) and only the returned one is normalized.  The first start that
+    ends within _START_MARGIN of the best one wins.
     """
-    x = _SPINOR_GRID[int(np.argmax(score(_SPINOR_GRID)))]
+    peaks = np.flatnonzero(grid_scores >= grid_scores[_GRID_NEIGHBOURS].max(axis=0))
+    peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[:_MAX_STARTS]]
+    x = _SPINOR_GRID[:, peaks]
+    starts = np.arange(len(peaks))
     step = _REFINE_STEP
     for _ in range(_REFINE_ROUNDS):
-        perp = np.array([-x[1].conj(), x[0].conj()])
-        cand = x[None, :] + (step * _REFINE_OFFSETS)[:, None] * perp[None, :]
-        cand = _unit_rows(cand)
-        x = cand[int(np.argmax(score(cand)))]
+        perp = x[::-1].conj() * _TANGENT_SIGNS
+        cand = x[:, :, None] + perp[:, :, None] * (step * _REFINE_OFFSETS)
+        scores = score(cand.reshape(2, -1)).reshape(len(starts), -1)
+        best = np.argmax(scores, axis=1)
+        x = cand[:, starts, best]
         step /= _REFINE_SHRINK
-    return x
+    final = scores[starts, best]
+    x = x[:, int(np.argmax(final >= final.max() - _START_MARGIN))]
+    return x / math.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
 def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
@@ -310,7 +370,13 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     - rank 4: every y is admissible; x is scanned and the best y at each x
       is the top Takagi vector of the output determinant form.
     - rank 3, complement vector w entangled: y(x) is unique for every x,
-      and x is scanned.
+      and x is scanned.  The image of x (x) y(x) is linear in the monomials
+      v = (x0^2, x0 x1, x1^2), so its concurrence is the ratio
+      |v^T S v| / v^H H v of two quadratic forms built once per call: S
+      from the determinant form and H from the output norm.  The ratio does
+      not change under x -> lambda x, so no candidate is normalized and no
+      output vector is formed; on the grid it is two matrix-vector products
+      with the module's table of monomial products.
     - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
       w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
       lines are solved exactly.
@@ -322,9 +388,9 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     On a line of product vectors (a two-dimensional subspace) the best
     input is the top Takagi vector of the output determinant form.  Every
     candidate is a product vector up to rounding; only the scans maximize
-    over a continuous family on a grid, to the grid's resolution.  The
-    inputs are independent, so the rank is n, and the columns of the spec's
-    ``span_basis`` after the first n are W.
+    over a continuous family, from every local maximum of a grid, to the
+    grid's resolution.  The inputs are independent, so the rank is n, and
+    the columns of the spec's ``span_basis`` after the first n are W.
     """
     u = spec.span_basis
     rank = spec.n
@@ -338,18 +404,18 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
         columns = image.reshape(4, 2, 2).transpose(1, 0, 2).reshape(2, 8)
 
         def score(xs):
-            out = (xs @ columns).reshape(len(xs), 4, 2)
+            out = (xs.T @ columns).reshape(-1, 4, 2)
             return _image_scores(out[..., 0], out[..., 1])
 
-        x = _scan(score)
+        x = _scan(score, score(_SPINOR_GRID))
         return [_best_in_span(image, np.kron(x[:, None], eye))]
     if rank == 3:
         wm = u[:, 3].reshape(2, 2)
-        lu, lsv, lvh = np.linalg.svd(wm)
-        if lsv[-1] <= SEPARABLE_CUTOFF:
+        if np.linalg.svd(wm, compute_uv=False)[-1] <= SEPARABLE_CUTOFF:
             # the complement vector is a product p (x) q: the product vectors
             # of the span are the lines p_perp (x) C^2, where every y is
             # admissible (the exceptional x), and C^2 (x) q_perp
+            lu, _, lvh = np.linalg.svd(wm)
             return [
                 _best_in_span(image, np.kron(lu[:, 1:], eye)),
                 _best_in_span(image, np.kron(eye, lvh[1:].T)),
@@ -359,13 +425,20 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
         # image(x (x) y(x)) = sum_ac x_a x_c quad[:, a, c], by monomial
         quad = image.reshape(4, 2, 2) @ follow.T
         mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]])
+        # the output concurrence |v^T S v| / v^H H v on the monomials v of x
+        s = _det_form(mono[:, None, :], mono[None, :, :])
+        h = mono.conj() @ mono.T
+        forms = np.vstack([s, h])
 
         def score(xs):
-            x0, x1 = xs[:, 0], xs[:, 1]
-            return _image_scores(np.column_stack([x0 * x0, x0 * x1, x1 * x1]) @ mono)
+            v = xs[_MONO_LEFT] * xs[_MONO_RIGHT]
+            # r = (v^T S v, v^H H v) per column
+            r = (np.concatenate([v, v.conj()]) * (forms @ v)).reshape(2, 3, -1).sum(axis=1)
+            return np.abs(r[0]) / np.maximum(r[1].real, 1e-300)
 
-        x = _scan(score)
-        return [np.kron(x, x @ follow)]
+        num, den = s.ravel() @ _GRID_PRODUCTS[0], h.ravel() @ _GRID_PRODUCTS[1]
+        x = _scan(score, np.abs(num) / np.maximum(den.real, 1e-300))
+        return [np.outer(x, x @ follow).ravel()]
     # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
     r0, r1 = u[:, 2:].conj().T.reshape(2, 2, 2).transpose(1, 0, 2)
     q0 = np.linalg.det(r0)

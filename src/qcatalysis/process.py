@@ -162,11 +162,11 @@ class EnvironmentGram:
         known = np.asarray(self.known, dtype=bool).copy()
         if values.ndim != 2 or values.shape[0] != values.shape[1] or known.shape != values.shape:
             raise ValueError("values and known must be square and congruent")
-        if not np.array_equal(known, known.T):
+        if (known != known.T).any():
             raise ValueError("determined pattern must be symmetric")
-        if not np.allclose(values, values.conj().T, atol=1e-12):
+        if not (np.abs(values - values.conj().T) <= 1e-12).all():
             raise ValueError("determined entries must be conjugate-symmetric")
-        if not np.all(known.diagonal()) or not np.allclose(values.diagonal(), 1.0):
+        if not (known.diagonal().all() and (np.abs(values.diagonal() - 1.0) <= 1e-12).all()):
             raise ValueError("diagonal must be determined and equal to one")
         if np.any(np.abs(values[known]) > 1.0 + DEFAULT_TOL):
             raise ValueError("determined overlaps must have modulus at most one")

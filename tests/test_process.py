@@ -239,6 +239,14 @@ class TestCompletePsd:
         lopsided[1, 0] = False
         with pytest.raises(ValueError, match="symmetric"):
             EnvironmentGram(values, lopsided)
+        # both tests are absolute at 1e-12, with no relative slack
+        values[1, 0] = 0.5 + 4e-6j
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            EnvironmentGram(values, np.ones((2, 2), bool))
+        short_diagonal = np.eye(2, dtype=complex)
+        short_diagonal[1, 1] = 1.0 - 9e-6
+        with pytest.raises(ValueError, match="diagonal"):
+            EnvironmentGram(short_diagonal, np.ones((2, 2), bool))
         toobig = np.eye(2, dtype=complex)
         toobig[0, 1] = toobig[1, 0] = 1.5
         with pytest.raises(ValueError, match="modulus"):

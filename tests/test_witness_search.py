@@ -11,6 +11,7 @@ import pytest
 
 from qcatalysis import (
     QUANTUM_CATALYSIS,
+    analyzer,
     ProcessSpec,
     PureState,
     apply_process,
@@ -215,3 +216,99 @@ def test_full_span_witness_beats_random_products():
     conc = 2.0 * np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
     conc = conc / np.sum(np.abs(out) ** 2, axis=1)
     assert w.concurrence_out >= conc.max() - 1e-9
+
+
+def output_concurrences(spec: ProcessSpec, inputs: np.ndarray) -> np.ndarray:
+    """2|ad - bc| of the normalized image of each row of ``inputs`` (in the span)."""
+    a, b = spec.input_matrix(), spec.output_matrix()
+    out = np.linalg.lstsq(a, inputs.T, rcond=None)[0].T @ b.T
+    conc = 2.0 * np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
+    return conc / np.sum(np.abs(out) ** 2, axis=1)
+
+
+def span_products(spec: ProcessSpec, xs: np.ndarray) -> np.ndarray:
+    """The product input x (x) y(x) of a rank-3 span for each row x of ``xs``.
+
+    y(x) spans the null space of the 1x2 row W^H (x (x) I), W the span's
+    complement, taken from an SVD of the input matrix.
+    """
+    w = np.linalg.svd(spec.input_matrix())[0][:, 3]
+    row = xs @ w.conj().reshape(2, 2)
+    ys = np.column_stack([-row[:, 1], row[:, 0]])
+    return (xs[:, :, None] * ys[:, None, :]).reshape(-1, 4)
+
+
+def scan_score(spec: ProcessSpec, monkeypatch):
+    """The score and grid scores that the 2x2 stage hands to the scan."""
+    seen = []
+    scan = analyzer._scan
+
+    def spy(score, grid_scores):
+        seen.append((score, grid_scores))
+        return scan(score, grid_scores)
+
+    monkeypatch.setattr(analyzer, "_scan", spy)
+    analyzer._stage_candidates_2x2(spec)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def best_over_a_factor(spec: ProcessSpec, x: np.ndarray) -> float:
+    """Top output concurrence over x (x) C^2 on a full span (plain Takagi)."""
+    basis = np.kron(x[:, None], np.eye(2))
+    image = spec.output_matrix() @ np.linalg.solve(spec.input_matrix(), basis)
+    q = np.linalg.qr(image)[0]
+    det = np.zeros((4, 4))
+    det[0, 3] = det[3, 0] = 1.0
+    det[1, 2] = det[2, 1] = -1.0
+    return float(np.linalg.svd(q.T @ det @ q, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_scan_score_is_the_output_concurrence(rank, monkeypatch):
+    rng = np.random.default_rng(100 + rank)
+    for _ in range(4):
+        inputs = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        spec = coherent_spec(inputs, random_unitary(rng, 4))
+        if rank == 3:
+            w = spec.span_basis[:, 3].reshape(2, 2)
+            assert np.linalg.svd(w, compute_uv=False)[-1] > 1e-3  # entangled complement
+        score, grid_scores = scan_score(spec, monkeypatch)
+        np.testing.assert_allclose(grid_scores, score(analyzer._SPINOR_GRID), rtol=0, atol=1e-12)
+        xs = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
+        xs /= np.linalg.norm(xs, axis=1)[:, None]
+        if rank == 3:
+            want = output_concurrences(spec, span_products(spec, xs))
+        else:
+            want = np.array([best_over_a_factor(spec, x) for x in xs])
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        for batch in (xs.T, lam * xs.T):
+            np.testing.assert_allclose(score(batch), want, rtol=0, atol=1e-12)
+
+
+def rank3_family(count: int) -> list[ProcessSpec]:
+    """Rotated deletions with random residue angles, then random coherent rank-3 specs."""
+    rng = np.random.default_rng(41)
+    specs = []
+    for seed in range(count // 2):
+        angles = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
+        specs.append(rotated_deletion_spec(200 + seed, angles))
+    while len(specs) < count:
+        inputs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        specs.append(coherent_spec(inputs, random_unitary(rng, 4)))
+    return specs
+
+
+RANK3_FAMILY = rank3_family(40)
+
+
+@pytest.mark.parametrize("index", range(len(RANK3_FAMILY)))
+def test_rank3_witness_beats_random_products(index):
+    spec = RANK3_FAMILY[index]
+    w = find_entangling_witness(spec, decide_feasibility(spec))
+    assert w is not None
+    rng = np.random.default_rng(500 + index)
+    xs = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
+    best = output_concurrences(spec, span_products(spec, xs)).max()
+    assert w.concurrence_out >= best - 1e-9
