@@ -9,6 +9,7 @@ transmission of an arbitrary qubit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,15 +177,16 @@ def _catalyst_checks(spec: ProcessSpec, tol: float) -> tuple[tuple[PairIntactnes
     product = s[:, 1] <= tol
     both = product[:n] & product[n:]
     overlaps = np.minimum(np.abs(np.sum(a[:n].conj() * a[n:], axis=1)) ** 2, 1.0)
-    fids = [float(f) if ok else None for f, ok in zip(overlaps, both)]
+    flags = product.tolist()
     reports = tuple(
-        PairIntactness(i, bool(product[i]), bool(product[n + i]), f, ok and f >= 1.0 - tol)
-        for i, (f, ok) in enumerate(zip(fids, both.tolist()))
+        PairIntactness(i, flags[i], flags[n + i], f if ok else None, ok and f >= 1.0 - tol)
+        for i, (f, ok) in enumerate(zip(overlaps.tolist(), both.tolist()))
     )
     b_in, b_out = b[:n][both], b[n:][both]
     same_in = np.abs(b_in.conj() @ b_in.T) ** 2 >= 1.0 - tol
     distinct_out = np.abs(b_out.conj() @ b_out.T) ** 2 <= 1.0 - tol
-    return reports, bool(np.any(np.triu(same_in & distinct_out, 1)))
+    k = np.arange(len(b_in))
+    return reports, bool((same_in & distinct_out & (k[:, None] < k)).any())
 
 
 def catalyst_intact(
@@ -204,9 +206,12 @@ def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray
     """Twice the product of the two largest Schmidt coefficients, per row.
 
     Equals the two-qubit concurrence when both sides are qubits; zero
-    exactly for product states in general.
+    exactly for product states in general.  Only singular values are
+    computed.
     """
-    s = _schmidt(vecs, dim_a, dim_b)[0]
+    s = np.linalg.svd(vecs.reshape(-1, dim_a, dim_b), compute_uv=False)
+    if s.shape[1] < 2:
+        return np.zeros(len(s))
     return np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0)
 
 
@@ -251,13 +256,13 @@ def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
     fib = [1, 2]
     while fib[-1] + fib[-2] < n:
         fib.append(fib[-1] + fib[-2])
-    # |<x_k|x_k+f>| by offset f = +F_j, then -F_j; -1 where k + f is off the grid
-    overlap = np.full((2 * len(fib), n), -1.0)
+    # -|<x_k|x_k+f>| by offset f = +F_j, then -F_j; 1 where k + f is off the grid
+    far = np.ones((2 * len(fib), n))
     for row, f in enumerate(fib):
-        pair = np.abs(np.sum(grid[:, :-f].conj() * grid[:, f:], axis=0))
-        overlap[row, :-f] = pair
-        overlap[len(fib) + row, f:] = pair
-    order = np.argsort(-overlap, axis=0, kind="stable")[:6]
+        pair = -np.abs(np.sum(grid[:, :-f].conj() * grid[:, f:], axis=0))
+        far[row, :-f] = pair
+        far[len(fib) + row, f:] = pair
+    order = np.argsort(far, axis=0, kind="stable")[:6]
     return np.arange(n) + np.array(fib + [-f for f in fib])[order]
 
 
@@ -271,9 +276,18 @@ def _monomial_products(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v[:, None] * v).reshape(9, -1), (v.conj()[:, None] * v).reshape(9, -1)
 
 
-_SPINOR_GRID = _spinor_grid(_GRID_POINTS)
-_GRID_NEIGHBOURS = _grid_neighbours(_SPINOR_GRID)
-_GRID_PRODUCTS = _monomial_products(_SPINOR_GRID)
+@functools.cache
+def _scan_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The spinor grid, its neighbour table and its monomial products; read-only.
+
+    Built on the first two-qubit scan, so that a process that never scans
+    never pays for them (0.69 MB, a few ms).
+    """
+    grid = _spinor_grid(_GRID_POINTS)
+    tables = (grid, _grid_neighbours(grid), _monomial_products(grid))
+    for m in (grid, tables[1], *tables[2]):
+        m.setflags(write=False)
+    return tables
 
 
 def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -334,7 +348,7 @@ def _scan(score, grid_scores: np.ndarray) -> np.ndarray:
 
     ``score`` maps a (2, N) batch of column spinors to N scores and does not
     change under x -> lambda x, so no candidate is normalized; ``grid_scores``
-    are its values on the columns of _SPINOR_GRID.  The starts are the
+    are its values on the columns of the spinor grid.  The starts are the
     grid's local maxima (no lower than their six nearest neighbours), best
     first, at most _MAX_STARTS, refined together in one batch: each round
     scores a 9x9 grid x + t x_perp in the tangent plane of every start and
@@ -344,9 +358,10 @@ def _scan(score, grid_scores: np.ndarray) -> np.ndarray:
     0.2 %) and only the returned one is normalized.  The first start that
     ends within _START_MARGIN of the best one wins.
     """
-    peaks = np.flatnonzero(grid_scores >= grid_scores[_GRID_NEIGHBOURS].max(axis=0))
+    grid, neighbours, _ = _scan_tables()
+    peaks = np.flatnonzero(grid_scores >= grid_scores[neighbours].max(axis=0))
     peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[:_MAX_STARTS]]
-    x = _SPINOR_GRID[:, peaks]
+    x = grid[:, peaks]
     starts = np.arange(len(peaks))
     step = _REFINE_STEP
     for _ in range(_REFINE_ROUNDS):
@@ -376,7 +391,7 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
       from the determinant form and H from the output norm.  The ratio does
       not change under x -> lambda x, so no candidate is normalized and no
       output vector is formed; on the grid it is two matrix-vector products
-      with the module's table of monomial products.
+      with the scan's table of monomial products.
     - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
       w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
       lines are solved exactly.
@@ -407,7 +422,7 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
             out = (xs.T @ columns).reshape(-1, 4, 2)
             return _image_scores(out[..., 0], out[..., 1])
 
-        x = _scan(score, score(_SPINOR_GRID))
+        x = _scan(score, score(_scan_tables()[0]))
         return [_best_in_span(image, np.kron(x[:, None], eye))]
     if rank == 3:
         wm = u[:, 3].reshape(2, 2)
@@ -436,7 +451,8 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
             r = (np.concatenate([v, v.conj()]) * (forms @ v)).reshape(2, 3, -1).sum(axis=1)
             return np.abs(r[0]) / np.maximum(r[1].real, 1e-300)
 
-        num, den = s.ravel() @ _GRID_PRODUCTS[0], h.ravel() @ _GRID_PRODUCTS[1]
+        products = _scan_tables()[2]
+        num, den = s.ravel() @ products[0], h.ravel() @ products[1]
         x = _scan(score, np.abs(num) / np.maximum(den.real, 1e-300))
         return [np.outer(x, x @ follow).ravel()]
     # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
@@ -486,36 +502,37 @@ def _stage_candidates_projected(spec: ProcessSpec, projector: np.ndarray) -> np.
     return vecs
 
 
-def _best_witness(spec: ProcessSpec, coeffs: np.ndarray) -> WitnessRecord | None:
-    """Best (by output entanglement) separable-input candidate, or None."""
+def _stage_best(
+    spec: ProcessSpec, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray] | None:
+    """Best (by output entanglement) separable candidate of one stage, or None.
+
+    The candidates are the rows of ``coeffs @ A^T`` with norm above 1e-12.
+    Their unit rows and their unit images under B are stacked and scored
+    by one singular-values-only decomposition; the first best row wins.
+    Returns the fields of its WitnessRecord, with the input and output as
+    unit rows: input, output, both scores and the coefficients of the input.
+    """
     in_rows = coeffs @ spec.input_matrix().T
     norms = np.linalg.norm(in_rows, axis=1)
-    ok = norms > 1e-12
-    if not ok.any():
+    idx = np.flatnonzero(norms > 1e-12)
+    if not idx.size:
         return None
-    idx = np.flatnonzero(ok)
-    in_rows = in_rows[idx] / norms[idx, None]
-    ent_in = _entanglement_scores(in_rows, spec.dim_a, spec.dim_b)
-    sep = ent_in <= SEPARABLE_CUTOFF
+    out_rows = coeffs[idx] @ spec.output_matrix().T
+    out_norms = np.linalg.norm(out_rows, axis=1)[:, None]
+    # an entangled candidate's image may be zero: its row stays zero and scores 0
+    out_units = np.divide(out_rows, out_norms, out=np.zeros_like(out_rows), where=out_norms > 0)
+    units = np.concatenate([in_rows[idx] / norms[idx, None], out_units])
+    ent = _entanglement_scores(units, spec.dim_a, spec.dim_b)
+    k = idx.size
+    sep = ent[:k] <= SEPARABLE_CUTOFF
     if not sep.any():
         return None
-    idx = idx[sep]
-    in_rows = in_rows[sep]
-    ent_in = ent_in[sep]
-    out_rows = coeffs[idx] @ spec.output_matrix().T
-    out_rows = out_rows / np.linalg.norm(out_rows, axis=1)[:, None]
-    ent_out = _entanglement_scores(out_rows, spec.dim_a, spec.dim_b)
-    best = int(np.argmax(ent_out))
-    if ent_out[best] <= WITNESS_CUTOFF:
+    best = int(np.argmax(np.where(sep, ent[k:], -1.0)))
+    if ent[k + best] <= WITNESS_CUTOFF:
         return None
-    dims = (spec.dim_a, spec.dim_b)
-    return WitnessRecord(
-        input=PureState(dims, in_rows[best]),
-        output=PureState(dims, out_rows[best]),
-        concurrence_in=float(ent_in[best]),
-        concurrence_out=float(ent_out[best]),
-        coefficients=coeffs[idx[best]] / norms[idx[best]],
-    )
+    row = idx[best]
+    return units[best], units[k + best], float(ent[best]), float(ent[k + best]), coeffs[row] / norms[row]
 
 
 def find_entangling_witness(
@@ -542,27 +559,29 @@ def find_entangling_witness(
     basis, which is not exhaustive.  It is skipped when the canonical stage
     already attains the maximal score of one, and its witness replaces the
     canonical one only when its output entanglement is strictly higher;
-    within a stage earlier candidates break ties.
+    within a stage earlier candidates break ties.  Each stage is scored once,
+    from singular values only, and one record is built for the winner.
     """
     if not verdict.is_realizable:
         raise ValueError("witness search needs a Realizable verdict")
     if not _coherent_gram_check(verdict, tol):
         raise EnvironmentsDifferError()
     span_map = spec.span_map
-    best = _best_witness(spec, _stage_candidates_canonical(spec, span_map, tol))
-    if best is None or best.concurrence_out < 1.0 - 1e-12:
+    best = _stage_best(spec, _stage_candidates_canonical(spec, span_map, tol))
+    if best is None or best[3] < 1.0 - 1e-12:
         if (spec.dim_a, spec.dim_b) == (2, 2):
             inputs = _stage_candidates_2x2(spec)
         else:
             q = spec.span_basis[:, : spec.n]
             inputs = _stage_candidates_projected(spec, q @ q.conj().T)
         inputs = np.array(inputs, dtype=np.complex128).reshape(-1, span_map.shape[1])
-        found = _best_witness(spec, inputs @ span_map.T)
-        if found is not None and (
-            best is None or found.concurrence_out > best.concurrence_out
-        ):
+        found = _stage_best(spec, inputs @ span_map.T)
+        if found is not None and (best is None or found[3] > best[3]):
             best = found
-    return best
+    if best is None:
+        return None
+    dims = (spec.dim_a, spec.dim_b)
+    return WitnessRecord(PureState(dims, best[0]), PureState(dims, best[1]), *best[2:])
 
 
 def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:

@@ -246,6 +246,19 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+def _own(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without its __post_init__.
+
+    For read-only arrays that this module has just built and that are
+    valid by construction; the copies and checks of __post_init__ are for
+    values that come from callers.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def environment_gram(
     spec: ProcessSpec, tol: float = DEFAULT_TOL
 ) -> EnvironmentGram | FeasibilityVerdict:
@@ -282,7 +295,10 @@ def environment_gram(
                     INFEASIBLE,
                     certificate=Certificate(REASON_OUTPUT_NULL, (i, j), abs(gi)),
                 )
-    return EnvironmentGram(values, known)
+    # Hermitian with a unit diagonal and moduli at most one, as built
+    values.setflags(write=False)
+    known.setflags(write=False)
+    return _own(EnvironmentGram, values=values, known=known)
 
 
 def _elimination_order(known: np.ndarray) -> list[int] | None:
@@ -382,8 +398,11 @@ def _psd_violation(worst: float, tol: float) -> FeasibilityVerdict | None:
 
 
 def _checked(g: np.ndarray, tol: float) -> FeasibilityVerdict:
+    """Realizable with completion ``g``, a fresh array that the verdict then
+    owns, when its smallest eigenvalue is at least -tol; else Undetermined."""
     if float(np.linalg.eigvalsh(g)[0]) >= -tol:
-        return FeasibilityVerdict(REALIZABLE, completed_gram=g)
+        g.setflags(write=False)
+        return _own(FeasibilityVerdict, status=REALIZABLE, completed_gram=g, certificate=None)
     return FeasibilityVerdict(UNDETERMINED)
 
 
@@ -417,12 +436,14 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
     A completion is Realizable only when its smallest eigenvalue is at
     least -tol; otherwise the verdict is Undetermined, never Infeasible.
     """
-    g = np.array(eg.values, dtype=np.complex128)
-    known = np.array(eg.known, dtype=bool)
-    off_diagonal = known & ~np.eye(eg.n, dtype=bool)
-    if np.all(np.abs(g[off_diagonal] - 1.0) <= tol):
-        g[~known] = 1.0
+    # free entries start at one; every rule below reads determined entries
+    # only until it has filled the free ones
+    g = np.where(eg.known, eg.values, 1.0)
+    deviation = np.abs(g - 1.0)
+    deviation.flat[:: eg.n + 1] = 0.0  # the diagonal is one to 1e-12, whatever tol
+    if (deviation <= tol).all():
         return _checked(g, tol)
+    known = np.array(eg.known)
     order = _elimination_order(known)
     if order is not None:
         worst = min(

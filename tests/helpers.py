@@ -11,6 +11,7 @@ from qcatalysis import (
     random_states,
     tensor,
 )
+from qcatalysis import analyzer
 from qcatalysis.cli import _PROTOCOL_INPUTS
 from qcatalysis.teleport import _nonlocal_cnot_rows, _teleport_rows
 
@@ -166,3 +167,62 @@ def batched_protocol_figures(name: str, seed: int) -> tuple[float, float | None,
     fids = np.minimum(np.abs(np.einsum("bik,ki->bk", posts.conj(), wanted)) ** 2, 1.0)
     prob_err = float(np.max(np.abs(probs - 0.25))) if name == "teleport" else None
     return float(fids.min()), prob_err, float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
+
+
+def _full_svd_scores(rows: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """min(2 s0 s1, 1) per row, from full SVDs (with singular vectors)."""
+    s = np.linalg.svd(rows.reshape(-1, dim_a, dim_b))[1]
+    if s.shape[1] < 2:
+        return np.zeros(len(s))
+    return np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0)
+
+
+def _stage_record(spec: ProcessSpec, coeffs: np.ndarray):
+    """One stage's record (input, output, concurrence_in, concurrence_out,
+    coefficients) of its best separable candidate, or None."""
+    in_rows = coeffs @ spec.input_matrix().T
+    norms = np.linalg.norm(in_rows, axis=1)
+    idx = np.flatnonzero(norms > 1e-12)
+    if not idx.size:
+        return None
+    in_rows = in_rows[idx] / norms[idx, None]
+    ent_in = _full_svd_scores(in_rows, spec.dim_a, spec.dim_b)
+    sep = ent_in <= analyzer.SEPARABLE_CUTOFF
+    if not sep.any():
+        return None
+    idx, in_rows, ent_in = idx[sep], in_rows[sep], ent_in[sep]
+    out_rows = coeffs[idx] @ spec.output_matrix().T
+    out_rows = out_rows / np.linalg.norm(out_rows, axis=1)[:, None]
+    ent_out = _full_svd_scores(out_rows, spec.dim_a, spec.dim_b)
+    best = int(np.argmax(ent_out))
+    if ent_out[best] <= analyzer.WITNESS_CUTOFF:
+        return None
+    row = idx[best]
+    return in_rows[best], out_rows[best], ent_in[best], ent_out[best], coeffs[row] / norms[row]
+
+
+def two_record_witness(spec: ProcessSpec, tol: float = 1e-9):
+    """The witness search's selection rule, one record per stage.
+
+    The candidates come from the analyzer's stage functions.  Each stage
+    gets its own record from full-SVD scores: the input rows are scored
+    first, and only the separable ones have their outputs scored.  The
+    canonical stage runs first; the product stage runs unless the canonical
+    record reaches 1 - 1e-12, and its record wins only when strictly higher.
+    Returns (input, output, concurrence_in, concurrence_out, coefficients)
+    or None.
+    """
+    span_map = spec.span_map
+    best = _stage_record(spec, analyzer._stage_candidates_canonical(spec, span_map, tol))
+    if best is not None and best[3] >= 1.0 - 1e-12:
+        return best
+    if (spec.dim_a, spec.dim_b) == (2, 2):
+        inputs = analyzer._stage_candidates_2x2(spec)
+    else:
+        q = spec.span_basis[:, : spec.n]
+        inputs = analyzer._stage_candidates_projected(spec, q @ q.conj().T)
+    inputs = np.array(inputs, dtype=np.complex128).reshape(-1, span_map.shape[1])
+    found = _stage_record(spec, inputs @ span_map.T)
+    if found is not None and (best is None or found[3] > best[3]):
+        return found
+    return best

@@ -165,6 +165,19 @@ class TestSpecFiles:
         assert code == EXIT_PASS
         assert doc["classification"] == "quantum_catalysis"
 
+    def test_check_rotated_deletion_file_matches_golden_report(self, tmp_path, monkeypatch):
+        # the product-vector scan decides this witness; the file is checked
+        # under its relative name, which the report records as its source
+        from test_witness_search import rotated_deletion_spec
+
+        name = "rotated-deletion-3.spec.json"
+        save_process_spec(rotated_deletion_spec(3), tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        doc, code = check_spec_file(name, RunConfig())
+        assert code == EXIT_PASS
+        golden = (GOLDEN_REPORTS / "rotated-deletion-3.json").read_bytes()
+        assert emit_report(doc, "json") == golden
+
     def test_deletion_round_trip(self, tmp_path):
         path = tmp_path / "deletion.json"
         save_process_spec(deletion_process(), path)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -63,3 +64,23 @@ def test_verdicts_load_no_scan_kernels():
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_scan_tables_are_built_on_the_first_scan():
+    # no built-in scenario scans; a rotated deletion's witness needs the scan
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
+        "import qcatalysis\n"
+        "from qcatalysis import analyzer, cli\n"
+        "for name in cli.SCENARIOS:\n"
+        "    assert cli.run_scenario(name, cli.RunConfig())[1] == 0, name\n"
+        "print(analyzer._scan_tables.cache_info().misses)\n"
+        "from test_witness_search import rotated_deletion_spec\n"
+        "assert qcatalysis.classify(rotated_deletion_spec(3)).witness is not None\n"
+        "info = analyzer._scan_tables.cache_info()\n"
+        "print(info.misses, info.currsize)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1", "1"]

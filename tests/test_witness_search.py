@@ -16,6 +16,7 @@ from qcatalysis import (
     PureState,
     apply_process,
     classify,
+    cloning_process,
     concurrence,
     decide_feasibility,
     deletion_process,
@@ -26,7 +27,7 @@ from qcatalysis import (
     schmidt_coefficients,
 )
 
-from helpers import random_unitary
+from helpers import random_unitary, two_record_witness
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -275,7 +276,7 @@ def test_scan_score_is_the_output_concurrence(rank, monkeypatch):
             w = spec.span_basis[:, 3].reshape(2, 2)
             assert np.linalg.svd(w, compute_uv=False)[-1] > 1e-3  # entangled complement
         score, grid_scores = scan_score(spec, monkeypatch)
-        np.testing.assert_allclose(grid_scores, score(analyzer._SPINOR_GRID), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grid_scores, score(analyzer._scan_tables()[0]), rtol=0, atol=1e-12)
         xs = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
         xs /= np.linalg.norm(xs, axis=1)[:, None]
         if rank == 3:
@@ -312,3 +313,113 @@ def test_rank3_witness_beats_random_products(index):
     xs = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
     best = output_concurrences(spec, span_products(spec, xs)).max()
     assert w.concurrence_out >= best - 1e-9
+
+
+def product_complement_spec(rng: np.random.Generator) -> ProcessSpec:
+    """Three random inputs spanning the complement of a random product p (x) q."""
+    p, q = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    w = np.kron(p, q) / (np.linalg.norm(p) * np.linalg.norm(q))
+    complement = np.linalg.svd(w.conj()[None, :])[2][1:].conj().T
+    mix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return coherent_spec(complement @ mix, random_unitary(rng, 4))
+
+
+def near_named_spec(rng: np.random.Generator, named: np.ndarray) -> ProcessSpec:
+    """Three inputs, the first ``named`` moved off by about 1e-4, then two random ones.
+
+    ``named`` lies within 1e-3 of the span but not within 1e-9.
+    """
+    noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    first = named + 1e-4 * noise / np.linalg.norm(noise)
+    others = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    return coherent_spec(np.column_stack([first, others]), random_unitary(rng, 4))
+
+
+def zero_image_spec() -> ProcessSpec:
+    """|00> and -v (x) v, v = (c, 0.01), sent to |00> and -|00>.
+
+    Realizable, intact and coherent at tol 1e-3.  The canonical candidate
+    a_0 + a_1 is entangled and its image b_0 + b_1 is exactly zero.
+    """
+    v = np.array([math.sqrt(1.0 - 1e-4), 1e-2])
+    zero_zero = np.array([1.0, 0.0, 0.0, 0.0])
+    return ProcessSpec(
+        2,
+        2,
+        (
+            (PureState((2, 2), zero_zero), PureState((2, 2), zero_zero)),
+            (PureState((2, 2), -np.kron(v, v)), PureState((2, 2), -zero_zero)),
+        ),
+    )
+
+
+def selection_cases() -> list[tuple[ProcessSpec, float]]:
+    """Seeded specs with their tolerance for comparing the two selection rules."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(4):
+            inputs = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            cases.append(coherent_spec(inputs, random_unitary(rng, 4)))
+    cases += [rotated_deletion_spec(seed) for seed in (1, 2, 3, 4)]
+    cases += [exceptional_line_spec(), two_product_spec(), product_span_spec(), full_span_spec()]
+    cases += [product_complement_spec(rng) for _ in range(3)]
+    cases += [deletion_process(), cloning_process(), rotated_deletion_spec(3, dim_b=3)]
+    for dims in ((2, 3), (3, 2)):
+        for rank in (1, 2, 3, 4):
+            inputs = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+            cases.append(coherent_spec(inputs, random_unitary(rng, 6), dims))
+    cases = [(spec, 1e-9) for spec in cases]
+    plus_zero = np.kron([1.0, 1.0], [1.0, 0.0]) / math.sqrt(2.0)
+    circular = np.array([1.0, 1.0j]) * SQ2
+    for named in (plus_zero, np.kron(circular, circular)):
+        for _ in range(2):
+            cases.append((near_named_spec(rng, named), 1e-3))
+    cases += [(deletion_process(), 1e-3), (cloning_process(), 1e-3), (zero_image_spec(), 1e-3)]
+    return cases
+
+
+SELECTION_CASES = selection_cases()
+
+
+@pytest.mark.parametrize("index", range(len(SELECTION_CASES)))
+def test_one_record_search_keeps_the_two_record_rule(index):
+    spec, tol = SELECTION_CASES[index]
+    w = find_entangling_witness(spec, decide_feasibility(spec, tol), tol)
+    want = two_record_witness(spec, tol)
+    assert (w is None) == (want is None)
+    if w is None:
+        return
+    got = (w.input.vector, w.output.vector, w.concurrence_in, w.concurrence_out, w.coefficients)
+    for value, expected in zip(got, want):
+        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12)
+
+
+def test_named_state_admission_follows_the_tolerance():
+    # |i>|i> lies about 1e-4 off the span: a canonical candidate at 1e-3 only
+    circular = np.array([1.0, 1.0j]) * SQ2
+    spec = near_named_spec(np.random.default_rng(7), np.kron(circular, circular))
+    for tol, extra in ((1e-9, 0), (1e-3, 1)):
+        rows = analyzer._stage_candidates_canonical(spec, spec.span_map, tol)
+        assert rows.shape == (3 + extra, 3)
+    named = analyzer._stage_candidates_canonical(spec, spec.span_map, 1e-3)[-1]
+    assert np.linalg.norm(spec.input_matrix() @ named - np.kron(circular, circular)) <= 1e-3
+
+
+def test_one_record_per_search(monkeypatch):
+    built = []
+    record = analyzer.WitnessRecord
+
+    def counting(*args, **kwargs):
+        built.append(record(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(analyzer, "WitnessRecord", counting)
+    # both stages find a witness on the first three specs; on the last two only one does
+    plain = deletion_process((deletion_residue(0.4), deletion_residue(1.9), ket_plus()))
+    specs = (plain, product_span_spec(), full_span_spec(), rotated_deletion_spec(3), cloning_process())
+    for spec in specs:
+        built.clear()
+        w = find_entangling_witness(spec, decide_feasibility(spec))
+        assert w is not None
+        assert built == [w]
