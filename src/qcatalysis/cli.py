@@ -2,14 +2,13 @@
 
 Exit codes: 0 pass, 1 negative classification, 2 scenario assertion
 failure, 3 undetermined, 64 usage error, 65 data error, 70 internal error,
-73 report not written.
+73 report not written, to the ``--output`` file or to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -42,7 +41,7 @@ from .states import (
     fidelity,
     ket,
     ket_plus,
-    random_state,
+    random_states,
     standard_triple,
     tensor,
 )
@@ -466,11 +465,14 @@ def _protocol_doc(name, config, ledger, min_fid, max_prob_err) -> dict:
 
 def _protocol_figures(protocol, dims, wanted, seed: int):
     """Worst branch fidelity to ``wanted(state)``, branch probability error from
-    1/4 and probability-sum error over the seeded inputs, and the last ledger."""
+    1/4 and probability-sum error over the seeded inputs, and the last ledger.
+
+    The inputs come from one draw; each row becomes a validated PureState
+    passed to one call of the public ``protocol``."""
     rng = np.random.default_rng(seed)
     min_fid, max_prob_err, max_sum_err = 1.0, 0.0, 0.0
-    for _ in range(_PROTOCOL_INPUTS):
-        state = random_state(dims, rng)
+    for row in random_states(dims, _PROTOCOL_INPUTS, rng):
+        state = PureState(dims, row)
         target = wanted(state)
         branches, ledger = protocol(state)
         for b in branches:
@@ -706,8 +708,15 @@ def main(argv=None) -> int:
                 )
                 return EXIT_CANTCREAT
         else:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
+            try:
+                sys.stdout.buffer.write(payload)
+                sys.stdout.buffer.flush()
+            except OSError as exc:
+                print(
+                    f"qcatalysis: cannot write report to stdout: {exc.strerror or exc}",
+                    file=sys.stderr,
+                )
+                return EXIT_CANTCREAT
     except UsageError as exc:
         print(f"qcatalysis: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -716,7 +725,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except Exception as exc:
         # a fault of the program, never to be mistaken for a negative verdict;
-        # the traceback goes to the package logger, stderr gets one line
+        # the traceback goes to the package logger, stderr gets one line.
+        # Imported here so that a run without a fault never loads logging
+        import logging
+
         logging.getLogger("qcatalysis").debug("internal error", exc_info=True)
         message = " ".join(str(exc).split())
         print(f"qcatalysis: internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -51,6 +51,10 @@ class PureState:
     MAX_DIM, with norm within 1e-8 of one.  Functions taking a PureState
     read ``vector`` without checking it again.
 
+    The check copies the amplitudes once and takes one ``vdot``: a finite
+    norm implies finite entries, so ``as_vector`` runs only when the size
+    is wrong or the norm is not finite, and raises its own message there.
+
     Index convention is row-major with the first subsystem most
     significant: for dims (dimA, dimB) the amplitude of |a>|b> sits at
     index a * dimB + b.
@@ -66,8 +70,12 @@ class PureState:
         total = math.prod(dims)
         if total > MAX_DIM:
             raise ValueError(f"total dimension {total} exceeds the cap of {MAX_DIM}")
-        vec = as_vector(self.vector, dim=total)
+        vec = np.array(self.vector, dtype=np.complex128, order="C").ravel()
         n = math.sqrt(np.vdot(vec, vec).real)
+        if vec.size != total or not math.isfinite(n):
+            # a finite norm has finite entries: only here can as_vector
+            # reject, with its own message for the first fault it meets
+            as_vector(vec, dim=total)
         # an overflowing |z|^2 can make the norm NaN, which no bound rejects
         if not math.isfinite(n) or abs(n - 1.0) > 1e-8:
             raise ValueError(f"state vector must be normalized, norm is {n:.12f}")

@@ -41,6 +41,9 @@ NONLOCAL_CNOT_LEDGER = ResourceLedger(ebits_consumed=1, cbits_a_to_b=1, cbits_b_
 # (|00> + |11>) / sqrt(2) as a register array, one axis per qubit
 _BELL = np.eye(2, dtype=np.complex128) / math.sqrt(2.0)
 
+# the two read-out bits labelling each branch, in the kernels' branch order
+_BRANCH_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 def bell_pair() -> PureState:
     """(|00> + |11>) / sqrt(2)."""
@@ -49,12 +52,15 @@ def bell_pair() -> PureState:
 
 def _branches(kernel, state: PureState) -> list[BranchOutcome]:
     """The branches of one input, a one-row call of ``kernel``: a branch's
-    probability is the squared norm of its amplitudes."""
-    outcomes = []
-    for bits, amp in zip(np.ndindex(2, 2), kernel(state.vector[None, :])[..., 0]):
-        p = float(np.vdot(amp, amp).real)
-        outcomes.append(BranchOutcome(bits, p, PureState(state.dims, amp / math.sqrt(p))))
-    return outcomes
+    probability is the squared norm of its amplitudes.  All four
+    probabilities and unit branch vectors come from one array pass."""
+    amps = kernel(state.vector[None, :])[..., 0]
+    probs = np.einsum("bi,bi->b", amps.conj(), amps).real
+    units = amps / np.sqrt(probs)[:, None]
+    return [
+        BranchOutcome(bits, p, PureState(state.dims, unit))
+        for bits, p, unit in zip(_BRANCH_BITS, probs.tolist(), units)
+    ]
 
 
 def _teleport_rows(states: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
+import errno
 import json
+import os
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +307,19 @@ class TestMainEntryPoint:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"qcatalysis: cannot write report to {out}: ")
         assert "internal error" not in captured.err
+
+    def test_unwritable_stdout_is_not_an_internal_error(self, monkeypatch, capsys):
+        class FullDisk:
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=FullDisk()))
+        assert main(["run", "cloning"]) == EXIT_CANTCREAT
+        err = capsys.readouterr().err
+        assert err == f"qcatalysis: cannot write report to stdout: {os.strerror(errno.ENOSPC)}\n"
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE

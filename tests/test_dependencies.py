@@ -1,7 +1,8 @@
 """The package runs on numpy alone.
 
 No scipy module is needed or loaded, and no verdict loads the
-``_kernels`` module that only the benchmark tracer reads.
+``_kernels`` module that only the benchmark tracer reads.  The command
+line loads ``logging`` only on its internal-error path.
 """
 
 import os
@@ -84,3 +85,18 @@ def test_scan_tables_are_built_on_the_first_scan():
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "1", "1"]
+
+
+def test_cli_loads_logging_only_for_an_internal_error():
+    # logging and what it imports cost a cold run several milliseconds;
+    # only main's internal-error handler needs the package logger
+    code = (
+        "import sys\n"
+        "from qcatalysis import cli\n"
+        "loaded = 'logging' in sys.modules\n"
+        "assert cli.main(['run', 'cloning']) == 0\n"
+        "print(loaded, 'logging' in sys.modules)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False False"

@@ -81,6 +81,12 @@ class TestPureState:
             "state vector must be normalized, norm is 1.414213562373", None,
             id="unnormalized",
         ),
+        # two faults at once: the first one as_vector meets names the error
+        pytest.param(
+            (2,), [np.nan, 0.0, 0.0], DimensionMismatchError, "expected dimension 2, got 3",
+            "expected dimension 2, got 3", id="dimension-mismatch-and-nan",
+        ),
+        pytest.param((2,), [np.nan, 1e200], ValueError, _FINITE, _FINITE, id="nan-and-overflow"),
     ]
 
     @pytest.mark.parametrize("dims, values, error, message, as_vector_message", REJECTED)

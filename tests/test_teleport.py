@@ -28,6 +28,8 @@ from qcatalysis.teleport import _nonlocal_cnot_rows, _teleport_rows
 
 # the package re-exports the function ``teleport`` under the module's name
 teleport_module = importlib.import_module("qcatalysis.teleport")
+cli_module = importlib.import_module("qcatalysis.cli")
+states_module = importlib.import_module("qcatalysis.states")
 
 
 # the protocols as dense matrices on the whole register, qubit 0 most significant
@@ -211,6 +213,41 @@ class TestBatchedKernels:
             monkeypatch.setattr(teleport_module, name, spy)
             protocol(state)
         assert calls == [(1, 2), (1, 4)]
+
+    @pytest.mark.parametrize(
+        "name, protocol, extra_calls",
+        [("teleport", "teleport", 0), ("nonlocal-cnot", "nonlocal_cnot", 3)],
+    )
+    def test_scenarios_draw_once_and_call_the_protocol_per_input(
+        self, name, protocol, extra_calls, monkeypatch
+    ):
+        # one draw of all inputs, then one public call per drawn row as a
+        # PureState; nonlocal-cnot also checks the three standard pairs
+        draws, singles, states = [], [], []
+        original = cli_module.random_states
+        public = getattr(cli_module, protocol)
+
+        def draw(*args):
+            draws.append(original(*args))
+            return draws[-1]
+
+        def single(*args):
+            singles.append(args)
+
+        def call(state):
+            states.append(state)
+            return public(state)
+
+        monkeypatch.setattr(cli_module, "random_states", draw)
+        monkeypatch.setattr(states_module, "random_state", single)
+        monkeypatch.setattr(cli_module, "random_state", single, raising=False)
+        monkeypatch.setattr(cli_module, protocol, call)
+        assert run_scenario(name, RunConfig(seed=3))[1] == 0
+        assert len(draws) == 1 and not singles
+        assert len(states) == 100 + extra_calls
+        for row, state in zip(draws[0], states):
+            assert isinstance(state, PureState)
+            np.testing.assert_array_equal(state.vector, row)
 
     @pytest.mark.parametrize("name", ["teleport", "nonlocal-cnot"])
     def test_one_batched_call_gives_the_report_bytes(self, name):
