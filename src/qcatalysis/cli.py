@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -682,6 +683,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    A failed write leaves the report in stdout's buffer; the interpreter
+    flushes it again at exit, fails again, prints a second error and exits
+    120.  Past this call that flush succeeds (the recipe of the ``signal``
+    documentation's note on SIGPIPE).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -712,6 +726,7 @@ def main(argv=None) -> int:
                 sys.stdout.buffer.write(payload)
                 sys.stdout.buffer.flush()
             except OSError as exc:
+                _drop_stdout()
                 print(
                     f"qcatalysis: cannot write report to stdout: {exc.strerror or exc}",
                     file=sys.stderr,

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,6 +39,8 @@ from qcatalysis.cli import (
     run_scenario,
     save_process_spec,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 IDENTITY_FILE = {
     "version": 1,
@@ -308,7 +311,7 @@ class TestMainEntryPoint:
         assert captured.err.startswith(f"qcatalysis: cannot write report to {out}: ")
         assert "internal error" not in captured.err
 
-    def test_unwritable_stdout_is_not_an_internal_error(self, monkeypatch, capsys):
+    def test_unwritable_stdout_is_not_an_internal_error(self, monkeypatch, capsys, tmp_path):
         class FullDisk:
             def write(self, data):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -316,10 +319,44 @@ class TestMainEntryPoint:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=FullDisk()))
-        assert main(["run", "cloning"]) == EXIT_CANTCREAT
+        # a descriptor of the test's own, which main points at the null device
+        with open(tmp_path / "stdout", "wb") as sink:
+            stdout = SimpleNamespace(buffer=FullDisk(), fileno=sink.fileno)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["run", "cloning"]) == EXIT_CANTCREAT
+            assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
         err = capsys.readouterr().err
         assert err == f"qcatalysis: cannot write report to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("where", ["full-disk", "closed-pipe"])
+    def test_unwritable_stdout_exits_73_in_a_fresh_interpreter(self, where):
+        # a buffered stdout keeps the unwritten report; unless main drops it,
+        # the interpreter's own flush at exit fails again and exits 120
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        if where == "full-disk":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            reason = os.strerror(errno.ENOSPC)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            reason = os.strerror(errno.EPIPE)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "qcatalysis.cli", "run", "cloning"],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert result.returncode == EXIT_CANTCREAT, result.stderr
+        assert result.stderr == f"qcatalysis: cannot write report to stdout: {reason}\n"
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE
