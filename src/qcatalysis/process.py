@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DependentBasisError
-from .states import PureState
+from .states import PureState, _own
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -244,19 +244,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def _own(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, without its __post_init__.
-
-    For read-only arrays that this module has just built and that are
-    valid by construction; the copies and checks of __post_init__ are for
-    values that come from callers.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def environment_gram(

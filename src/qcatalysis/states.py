@@ -49,7 +49,8 @@ class PureState:
     The one place a state is validated: ``vector`` is a read-only
     complex128 copy, finite, of total dimension ``prod(dims)`` at most
     MAX_DIM, with norm within 1e-8 of one.  Functions taking a PureState
-    read ``vector`` without checking it again.
+    read ``vector`` without checking it again.  The protocol branch states
+    are the exception: ``teleport`` builds them behind one guard.
 
     The check copies the amplitudes once and takes one ``vdot``: a finite
     norm implies finite entries, so ``as_vector`` runs only when the size
@@ -86,6 +87,15 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.vector.size
+
+
+def _own(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without its __post_init__: for
+    read-only arrays the package has just built, valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, _gate
+from .states import PureState, _gate, _own
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,19 @@ def bell_pair() -> PureState:
 def _branches(kernel, state: PureState) -> list[BranchOutcome]:
     """The branches of one input, a one-row call of ``kernel``: a branch's
     probability is the squared norm of its amplitudes.  All four
-    probabilities and unit branch vectors come from one array pass."""
+    probabilities and unit branch vectors come from one array pass.  One
+    guard, every probability finite and above zero, stands in for checking
+    each read-only unit row as a PureState."""
     amps = kernel(state.vector[None, :])[..., 0]
     probs = np.einsum("bi,bi->b", amps.conj(), amps).real
+    plist = probs.tolist()
+    if not all(0.0 < p < math.inf for p in plist):
+        raise ValueError(f"branch probabilities must be finite and positive, got {plist}")
     units = amps / np.sqrt(probs)[:, None]
+    units.setflags(write=False)
     return [
-        BranchOutcome(bits, p, PureState(state.dims, unit))
-        for bits, p, unit in zip(_BRANCH_BITS, probs.tolist(), units)
+        BranchOutcome(bits, p, _own(PureState, dims=state.dims, vector=unit))
+        for bits, p, unit in zip(_BRANCH_BITS, plist, units)
     ]
 
 
@@ -98,7 +104,7 @@ def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     four branches of probability 1/4); the receiver applies the X/Z
     correction named by the two classical bits.  Every branch reproduces
     the input exactly up to global phase.  This is the one-row case of
-    ``_teleport_rows``; only the branch states become PureStates.
+    ``_teleport_rows``; the branch states are its guarded unit rows.
     """
     if state.dims != (2,):
         raise ValueError(f"teleport expects a single qubit, got dims {state.dims}")
@@ -113,8 +119,8 @@ def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger
     to Bob, who corrects b1 and applies CNOT from b1 onto B; measuring b1
     in the |+>/|-> basis sends one bit back, fixing a phase on A.  Every
     branch equals CNOT(A -> B) applied to the input, up to global phase.
-    This is the one-row case of ``_nonlocal_cnot_rows``; only the branch
-    states become PureStates.
+    This is the one-row case of ``_nonlocal_cnot_rows``; the branch states
+    are its guarded unit rows.
     """
     if state.dims != (2, 2):
         raise ValueError(f"nonlocal_cnot expects two qubits, got dims {state.dims}")

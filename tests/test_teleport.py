@@ -339,3 +339,60 @@ class TestScenarioChecks:
         # normalizing the broken branch may itself warn
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             failed_assertions(name, monkeypatch, corrupt, 57)
+
+
+PROTOCOLS = [
+    (teleport, _teleport_rows, (2,)),
+    (nonlocal_cnot, _nonlocal_cnot_rows, (2, 2)),
+]
+
+
+class TestBranchStates:
+    """The branch states skip PureState's checks behind one probability guard."""
+
+    @pytest.mark.parametrize("protocol, kernel, dims", PROTOCOLS)
+    def test_branch_states_are_validated_unit_rows(self, protocol, kernel, dims):
+        for row in random_states(dims, 50, np.random.default_rng(60)):
+            amplitudes = kernel(row[None, :])[..., 0]
+            branches, _ = protocol(PureState(dims, row))
+            for b, amp in zip(branches, amplitudes):
+                validated = PureState(dims, amp / np.sqrt(b.probability))
+                assert b.post_state.dims == validated.dims
+                assert b.post_state.vector.dtype == validated.vector.dtype
+                np.testing.assert_array_equal(b.post_state.vector, validated.vector)
+                assert not b.post_state.vector.flags.writeable
+                with pytest.raises(ValueError):
+                    b.post_state.vector[0] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_a_zero_branch_is_refused(self, name, monkeypatch):
+        def corrupt(amplitudes):
+            amplitudes[2] = 0.0
+
+        # refused before the division, so no NaN state is ever built
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite"):
+            failed_assertions(name, monkeypatch, corrupt, 57)
+
+    @pytest.mark.parametrize("protocol, kernel, dims", PROTOCOLS)
+    def test_a_zero_branch_is_refused_by_the_public_call(
+        self, protocol, kernel, dims, monkeypatch
+    ):
+        def zeroed(rows):
+            amplitudes = kernel(rows)
+            amplitudes[1] = 0.0
+            return amplitudes
+
+        monkeypatch.setattr(teleport_module, kernel.__name__, zeroed)
+        state = PureState(dims, random_states(dims, 1, np.random.default_rng(61))[0])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite"):
+            protocol(state)
+
+    def test_the_cnot_target_is_the_direct_gate(self):
+        gate = GateSpec("CNOT", (0, 1))
+        for seed in range(20):
+            rows = random_states((2, 2), 100, np.random.default_rng(seed))
+            targets = rows[:, cli_module._CNOT_COLUMNS]
+            for row, target in zip(rows, targets):
+                np.testing.assert_array_equal(
+                    apply_gate(gate, PureState((2, 2), row)).vector, target
+                )
