@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DependentBasisError
-from .states import PureState, _own
+from .states import PureState, _index, _own
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -86,7 +86,7 @@ class ProcessSpec:
         pairs = tuple((a, b) for a, b in self.pairs)
         if not pairs:
             raise ValueError("a process needs at least one (input, output) pair")
-        want = (int(self.dim_a), int(self.dim_b))
+        want = (_index(self.dim_a, "dim_a"), _index(self.dim_b, "dim_b"))
         for idx, (a, b) in enumerate(pairs):
             for which, s in (("input", a), ("output", b)):
                 if s.dims != want:

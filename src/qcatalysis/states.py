@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,15 +17,15 @@ from .linalg import (
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_GATE_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQ2,
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    ),
-}
+_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2}
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int (numpy integers too), never truncated: 2.9 raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class EntangledStateError(ValueError):
@@ -65,7 +65,7 @@ class PureState:
     vector: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_index(d, "subsystem dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         total = math.prod(dims)
@@ -106,13 +106,12 @@ class GateSpec:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if self.name not in _GATE_MATRICES:
+        object.__setattr__(self, "targets", tuple(_index(t, "gate target") for t in self.targets))
+        if self.name not in _ARITY:
             raise ValueError(f"unknown gate {self.name!r}")
-        arity = _GATE_MATRICES[self.name].shape[0].bit_length() - 1
-        if len(self.targets) != arity:
+        if len(self.targets) != _ARITY[self.name]:
             raise ValueError(
-                f"{self.name} acts on {arity} subsystem(s), "
+                f"{self.name} acts on {_ARITY[self.name]} subsystem(s), "
                 f"got targets {self.targets}"
             )
         if len(set(self.targets)) != len(self.targets):
@@ -160,39 +159,32 @@ def standard_triple(kind: str) -> tuple[PureState, PureState, PureState]:
     raise ValueError(f"unknown state family {kind!r} (expected 'source' or 'target')")
 
 
-@functools.lru_cache(maxsize=64)
-def _register_operator(
-    name: str, targets: tuple[int, ...], lead: tuple[int, ...]
-) -> np.ndarray:
-    """Read-only matrix of a named gate on the ``targets`` axes of a
-    register whose leading axes have sizes ``lead``, identity on the rest:
-    the gate contracted with the target axes of every basis column.
-    Capped at MAX_DIM, so each cached matrix stays small."""
-    k = len(targets)
-    d = math.prod(lead)
-    if d > MAX_DIM:
-        raise ValueError(
-            f"gate register axes {lead} exceed the cap of {MAX_DIM}; "
-            "put batch axes after the targets"
-        )
-    u = _GATE_MATRICES[name].reshape((2,) * (2 * k))
-    cols = np.eye(d, dtype=np.complex128).reshape(lead + (d,))
-    out = np.tensordot(u, cols, axes=(range(k, 2 * k), targets))
-    op = np.moveaxis(out, range(k), targets).reshape(d, d)
-    op.setflags(write=False)
-    return op
-
-
 def _gate(name: str, targets: tuple[int, ...], reg: np.ndarray) -> np.ndarray:
     """Apply a named gate to the ``targets`` axes of a register array.
 
-    One matrix product of the cached register operator over the leading
-    axes up to the last target, whatever their sizes; the axes after it,
-    subsystems or batch, are left as they are.  ``reg`` need not be
-    normalized.
+    The gate indexes the slices a, b at 0 and 1 of its last target axis: X
+    swaps them, Z negates b, H makes them (a + b) / sqrt(2), (a - b) / sqrt(2)
+    and CNOT is X where the control index is 1.  Returns a new array; the
+    other axes, subsystems or batch, may sit anywhere and are left as they are.
     """
-    op = _register_operator(name, targets, reg.shape[: max(targets) + 1])
-    return (op @ reg.reshape(len(op), -1)).reshape(reg.shape)
+    lo = [slice(None)] * reg.ndim
+    if name == "CNOT":
+        lo[targets[0]] = 1
+    hi = lo.copy()
+    lo[targets[-1]], hi[targets[-1]] = 0, 1
+    lo, hi = tuple(lo), tuple(hi)
+    a, b = reg[lo], reg[hi]
+    out = reg.copy()
+    if name == "Z":
+        out[hi] = -b
+    elif name == "H":
+        # (a + b) * _SQ2 and (a - b) * _SQ2 bit for bit, with no temporaries
+        np.add(a, b, out=out[lo])
+        np.subtract(a, b, out=out[hi])
+        out *= _SQ2
+    else:  # X, or CNOT's X on the control's 1 slice
+        out[lo], out[hi] = b, a
+    return out
 
 
 def apply_gate(gate: GateSpec, state: PureState) -> PureState:

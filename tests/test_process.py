@@ -55,6 +55,9 @@ class TestProcessSpec:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="dims"):
             ProcessSpec(2, 2, ((ket("0"), ket("0")),))
+        # a non-integer dimension is refused, not truncated to match (2, 2)
+        with pytest.raises(ValueError, match="^dim_a must be an integer, got 2.9$"):
+            ProcessSpec(2.9, 2, ((ket("00"), ket("00")),))
 
     def test_independence_check_can_be_waived(self):
         spec = uninformed_cloning_process()
