@@ -308,8 +308,8 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(np.sqrt(np.sum(np.abs(v) ** 2, axis=-1)), 1e-300)[..., None]
 
 
-def _image_scores(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
-    """Best output concurrence over the span of one or two images, per row.
+def _image_scores(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Best output concurrence over the span of two images, per row.
 
     The images are orthonormalized to the columns q_j of Q, so the best
     concurrence is the top singular value of the complex-symmetric matrix
@@ -317,8 +317,6 @@ def _image_scores(first: np.ndarray, second: np.ndarray | None = None) -> np.nda
     """
     q0 = _unit_rows(first)
     s00 = _det_form(q0, q0)
-    if second is None:
-        return np.abs(s00)
     q1 = _unit_rows(second - q0 * np.sum(q0.conj() * second, axis=-1)[..., None])
     s01 = _det_form(q0, q1)
     s11 = _det_form(q1, q1)

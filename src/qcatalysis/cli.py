@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import operator
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +41,6 @@ from .states import PureState, ket, ket_plus, random_states, standard_triple, te
 from .teleport import NONLOCAL_CNOT_LEDGER, TELEPORT_LEDGER, nonlocal_cnot, teleport
 
 SCHEMA_VERSION = "1.0"
-SCENARIOS = (
-    "cloning",
-    "deletion",
-    "deletion-sweep",
-    "no-info-cloning",
-    "teleport",
-    "nonlocal-cnot",
-)
 
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
@@ -80,9 +74,17 @@ class RunConfig:
     steps: int = 64
 
     def __post_init__(self):
+        for name in ("seed", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise UsageError(f"tolerance must be a real number, got {self.tolerance!r}")
         # at a tolerance of one every fidelity test 1 - tol is vacuous
         if not 0.0 < self.tolerance < 1.0:
             raise UsageError(f"tolerance must lie in (0, 1), got {self.tolerance}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if self.format not in ("json", "text"):
@@ -229,12 +231,7 @@ def _base_doc(scenario: str, config: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario,
-        "config": {
-            "tolerance": config.tolerance,
-            "format": config.format,
-            "seed": config.seed,
-            "steps": config.steps,
-        },
+        "config": asdict(config),
         "classification": None,
         "reason": None,
         "verdict": None,
@@ -246,22 +243,6 @@ def _base_doc(scenario: str, config: RunConfig) -> dict:
         "protocol": None,
         "ledger": None,
         "notes": [],
-    }
-
-
-def _verdict_doc(report: CatalysisReport) -> dict:
-    v = report.verdict
-    cert = None
-    if v.certificate is not None:
-        cert = {
-            "reason": v.certificate.reason,
-            "pair": list(v.certificate.pair) if v.certificate.pair is not None else None,
-            "magnitude": v.certificate.magnitude,
-        }
-    return {
-        "status": v.status,
-        "certificate": cert,
-        "completed_gram": _cmat(v.completed_gram) if v.is_realizable else None,
     }
 
 
@@ -281,9 +262,14 @@ def _witness_doc(report: CatalysisReport) -> list[dict]:
 
 
 def _fill_classification(doc: dict, report: CatalysisReport) -> None:
+    v = report.verdict
     doc["classification"] = report.classification
     doc["reason"] = report.reason
-    doc["verdict"] = _verdict_doc(report)
+    doc["verdict"] = {
+        "status": v.status,
+        "certificate": asdict(v.certificate) if v.certificate is not None else None,
+        "completed_gram": _cmat(v.completed_gram) if v.is_realizable else None,
+    }
     doc["catalyst_intact"] = {
         "per_pair": [p.intact for p in report.pair_reports],
         "overall": report.catalyst_intact,
@@ -408,15 +394,7 @@ def _scenario_deletion_sweep(config: RunConfig) -> tuple[dict, int]:
         ("orthogonal_residue_point_zero_concurrence", orthogonal_ok),
     ]
     doc = _base_doc("deletion-sweep", config)
-    doc["sweep"] = [
-        {
-            "u": p.u,
-            "v": p.v,
-            "overlap": _cnum(p.overlap),
-            "out_concurrence": p.out_concurrence,
-        }
-        for p in points
-    ]
+    doc["sweep"] = [{**asdict(p), "overlap": _cnum(p.overlap)} for p in points]
     return _finish(doc, checks)
 
 
@@ -527,6 +505,7 @@ _SCENARIO_RUNNERS = {
     "teleport": _scenario_teleport,
     "nonlocal-cnot": _scenario_nonlocal_cnot,
 }
+SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
 def run_scenario(name: str, config: RunConfig) -> tuple[dict, int]:
@@ -659,10 +638,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--steps", type=int, default=64)
+    defaults = RunConfig()
+    parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    parser.add_argument("--format", choices=("json", "text"), default=defaults.format)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--steps", type=int, default=defaults.steps)
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
@@ -692,41 +672,29 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        config = RunConfig(
-            tolerance=ns.tolerance, format=ns.format, seed=ns.seed, steps=ns.steps
-        )
-    except UsageError as exc:
-        print(f"qcatalysis: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        ns = build_parser().parse_args(argv)
+        config = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)})
         if ns.command == "run":
             doc, code = run_scenario(ns.scenario, config)
         else:
             doc, code = check_spec_file(ns.path, config)
         payload = emit_report(doc, config.format)
-        if ns.output:
-            try:
+        try:
+            if ns.output:
                 Path(ns.output).write_bytes(payload)
-            except OSError as exc:
-                print(
-                    f"qcatalysis: cannot write report to {ns.output}: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_CANTCREAT
-        else:
-            try:
+            else:
                 sys.stdout.buffer.write(payload)
                 sys.stdout.buffer.flush()
-            except OSError as exc:
+        except OSError as exc:
+            if not ns.output:
                 _drop_stdout()
-                print(
-                    f"qcatalysis: cannot write report to stdout: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_CANTCREAT
+            print(
+                f"qcatalysis: cannot write report to {ns.output or 'stdout'}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return EXIT_CANTCREAT
     except UsageError as exc:
         print(f"qcatalysis: {exc}", file=sys.stderr)
         return EXIT_USAGE

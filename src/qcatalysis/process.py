@@ -288,39 +288,30 @@ def environment_gram(
     return _own(EnvironmentGram, values=values, known=known)
 
 
-def _elimination_order(known: np.ndarray) -> list[int] | None:
-    """Maximum-cardinality search order of the pattern, or None if not chordal.
+def _order_cliques(known: np.ndarray) -> list[list[int]] | None:
+    """Each index with its earlier-visited neighbours, in maximum-cardinality
+    search order, or None if the pattern is not chordal.
 
     Index 0 is visited first, then always the unvisited index with the most
     visited neighbours (the lowest one on ties).  The pattern is chordal
-    exactly when the earlier-visited neighbours of every index form a
-    clique, that is when the reversed visit order is a perfect elimination
-    ordering.
+    exactly when every such list is a clique, that is when the reversed
+    visit order is a perfect elimination ordering; the walk stops at the
+    first list that is not.  On a chordal pattern every maximal clique is
+    among the lists, and their first entries are the visit order.
     """
-    n = known.shape[0]
-    adjacent = known & ~np.eye(n, dtype=bool)
-    weight = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
+    weight = np.zeros(known.shape[0], dtype=np.int64)
     order = []
-    for _ in range(n):
-        v = int(np.argmax(np.where(visited, -1, weight)))
-        order.append(v)
-        visited[v] = True
-        weight += adjacent[v]
-    for clique in _order_cliques(known, order):
+    cliques = []
+    for _ in range(known.shape[0]):
+        v = int(np.argmax(weight))
+        clique = [v] + [w for w in order if known[v, w]]
         if not known[np.ix_(clique, clique)].all():
             return None
-    return order
-
-
-def _order_cliques(known: np.ndarray, order: list[int]):
-    """Each index with its earlier-visited neighbours.
-
-    On a chordal pattern these are cliques, and every maximal clique is
-    among them.
-    """
-    for k, v in enumerate(order):
-        yield [v] + [w for w in order[:k] if known[v, w]]
+        cliques.append(clique)
+        order.append(v)
+        weight += known[v]
+        weight[order] = -1  # a visited index is never chosen again
+    return cliques
 
 
 def _chordal_fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float) -> None:
@@ -374,14 +365,10 @@ def _cycle_chord(g: np.ndarray, free, tol: float) -> tuple[complex | None, float
     return c1 + r1 * (c2 - c1) / dist, gap
 
 
-def _psd_violation(worst: float, tol: float) -> FeasibilityVerdict | None:
-    """Infeasible when ``worst``, the smallest eigenvalue over fully determined
-    blocks, is below -tol; its psd_violation has magnitude -worst."""
-    if worst < -tol:
-        return FeasibilityVerdict(
-            INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst)
-        )
-    return None
+def _psd_violation(worst: float) -> FeasibilityVerdict:
+    """Infeasible with a psd_violation of magnitude -worst, ``worst`` being the
+    smallest eigenvalue over fully determined blocks and below -tol."""
+    return FeasibilityVerdict(INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst))
 
 
 def _checked(g: np.ndarray, tol: float) -> FeasibilityVerdict:
@@ -431,15 +418,11 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
     if (deviation <= tol).all():
         return _checked(g, tol)
     known = np.array(eg.known)
-    order = _elimination_order(known)
-    if order is not None:
-        worst = min(
-            float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0])
-            for c in _order_cliques(known, order)
-        )
-        violation = _psd_violation(worst, tol)
-        if violation is not None:
-            return violation
+    cliques = _order_cliques(known)
+    if cliques is not None:
+        worst = min(float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0]) for c in cliques)
+        if worst < -tol:
+            return _psd_violation(worst)
     elif eg.n == 4:
         free = eg.free_pairs()
         z, gap = _cycle_chord(g, free, tol)
@@ -451,15 +434,15 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
         g[u, v] = z
         g[v, u] = np.conj(z)
         known[u, v] = known[v, u] = True
-        order = _elimination_order(known)
+        cliques = _order_cliques(known)
     else:
         # every fully determined triangle, in one batch
         t = np.array(list(itertools.combinations(range(eg.n), 3)))
         i, j, k = t.T
         t = t[known[i, j] & known[i, k] & known[j, k]]
-        worst = np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0)
-        return _psd_violation(float(worst), tol) or FeasibilityVerdict(UNDETERMINED)
-    _chordal_fill(g, known, order, tol)
+        worst = float(np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0))
+        return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
+    _chordal_fill(g, known, [c[0] for c in cliques], tol)
     return _checked(g, tol)
 
 

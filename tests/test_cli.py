@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -489,7 +491,14 @@ class TestMainEntryPoint:
         assert capsys.readouterr().err == ""
         assert json.loads(report.read_bytes())["classification"] == "no_entangling_witness_found"
 
-    @pytest.mark.parametrize("argv", [["run", "cloning"], ["check", "spec.json"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cloning"],
+            ["check", "spec.json"],
+            ["run", "cloning", "--output", "report.json"],
+        ],
+    )
     def test_internal_fault_is_not_a_verdict(
         self, argv, tmp_path, monkeypatch, capsys, caplog
     ):
@@ -497,19 +506,27 @@ class TestMainEntryPoint:
 
         import qcatalysis.cli as cli
 
+        # a fault while writing the report that is not an OSError is no
+        # "report not written" (73); a ValueError is no usage error (64) either
+        writing = "--output" in argv
+        fault = ValueError if writing else RuntimeError
+
         def broken(*args, **kwargs):
-            raise RuntimeError("simulated fault\nwith a second line")
+            raise fault("simulated fault\nwith a second line")
 
         save_process_spec(cloning_process(), tmp_path / "spec.json")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "classify", broken)
+        if writing:
+            monkeypatch.setattr(Path, "write_bytes", broken)
+        else:
+            monkeypatch.setattr(cli, "classify", broken)
         caplog.set_level(logging.DEBUG, logger="qcatalysis")
         assert main(argv) == EXIT_INTERNAL
         assert any(r.exc_info for r in caplog.records)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "RuntimeError: simulated fault with a second line" in captured.err
+        assert f"{fault.__name__}: simulated fault with a second line" in captured.err
         assert "Traceback" not in captured.err
 
     def test_stdout_emission(self, capsysbinary):
@@ -536,6 +553,37 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", 2.5),
+        ("steps", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "3"),
+        ("tolerance", "0.1"),
+        ("tolerance", True),
+        ("tolerance", None),
+    ],
+)
+def test_run_config_refuses_a_field_of_the_wrong_type(field, value):
+    # a usage error at construction, never a TypeError from inside a
+    # scenario, nor a bool taken as the integer 0 or 1
+    message = rf"^{field} must be (an integer|a real number), got {re.escape(repr(value))}$"
+    with pytest.raises(UsageError, match=message):
+        RunConfig(**{field: value})
+
+
+def test_run_config_stores_numpy_and_other_real_numbers_as_int_and_float():
+    config = RunConfig(seed=np.int64(3), steps=np.uint8(8), tolerance=Fraction(1, 2))
+    assert (config.seed, config.steps, config.tolerance) == (3, 8, 0.5)
+    assert [type(x) for x in (config.seed, config.steps, config.tolerance)] == [int, int, float]
+    # the report renders every field
+    assert b'"config":{"format":"json","seed":3,"steps":8,"tolerance":0.500000000000}' in (
+        emit_report(run_scenario("cloning", config)[0], "json")
+    )
 
 
 def test_failed_assertions_yield_exit_two():
