@@ -14,7 +14,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,8 @@ EXIT_INTERNAL = 70
 EXIT_CANTCREAT = 73
 
 _PROTOCOL_INPUTS = 100
+# _fmt's 12 decimals move a unit vector's norm by up to sqrt(2 * MAX_DIM) * 5e-13
+_NORM_FLOOR = 1e-10
 
 
 class UsageError(ValueError):
@@ -140,16 +142,17 @@ def _json_bytes(doc: dict) -> bytes:
     return ("".join(parts) + "\n").encode("utf-8")
 
 
+def _flat(record) -> dict:
+    """The fields of a flat dataclass, shallow: ``asdict`` deep-copies each one."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _cnum(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
 def _cvec(v) -> list[list[float]]:
     return [_cnum(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _cmat(m) -> list[list[list[float]]]:
-    return [_cvec(row) for row in np.asarray(m)]
 
 
 def _text_lines(doc: dict) -> list[str]:
@@ -231,7 +234,7 @@ def _base_doc(scenario: str, config: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario,
-        "config": asdict(config),
+        "config": _flat(config),
         "classification": None,
         "reason": None,
         "verdict": None,
@@ -267,8 +270,8 @@ def _fill_classification(doc: dict, report: CatalysisReport) -> None:
     doc["reason"] = report.reason
     doc["verdict"] = {
         "status": v.status,
-        "certificate": asdict(v.certificate) if v.certificate is not None else None,
-        "completed_gram": _cmat(v.completed_gram) if v.is_realizable else None,
+        "certificate": _flat(v.certificate) if v.certificate is not None else None,
+        "completed_gram": [_cvec(row) for row in v.completed_gram] if v.is_realizable else None,
     }
     doc["catalyst_intact"] = {
         "per_pair": [p.intact for p in report.pair_reports],
@@ -394,7 +397,7 @@ def _scenario_deletion_sweep(config: RunConfig) -> tuple[dict, int]:
         ("orthogonal_residue_point_zero_concurrence", orthogonal_ok),
     ]
     doc = _base_doc("deletion-sweep", config)
-    doc["sweep"] = [{**asdict(p), "overlap": _cnum(p.overlap)} for p in points]
+    doc["sweep"] = [{**_flat(p), "overlap": _cnum(p.overlap)} for p in points]
     return _finish(doc, checks)
 
 
@@ -428,7 +431,7 @@ def _protocol_doc(name, config, ledger, min_fid, max_prob_err) -> dict:
         "min_branch_fidelity": min_fid,
         "max_branch_probability_error": max_prob_err,
     }
-    doc["ledger"] = asdict(ledger)
+    doc["ledger"] = _flat(ledger)
     return doc
 
 
@@ -539,8 +542,8 @@ def _parse_amplitudes(raw, field: str, dim: int, tol: float) -> np.ndarray:
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise SpecFileError(field, "amplitudes must be finite")
     n = math.sqrt(np.vdot(vec, vec).real)
-    if not math.isfinite(n) or n == 0.0 or abs(n - 1.0) > tol:
-        raise SpecFileError(field, f"state is not normalized (norm {n:.12f})")
+    if not math.isfinite(n) or n == 0.0 or abs(n - 1.0) > max(tol, _NORM_FLOOR):
+        raise SpecFileError(field, f"state is not normalized (|norm - 1| = {abs(n - 1.0):.3e})")
     return vec / n
 
 

@@ -299,18 +299,19 @@ def _order_cliques(known: np.ndarray) -> list[list[int]] | None:
     first list that is not.  On a chordal pattern every maximal clique is
     among the lists, and their first entries are the visit order.
     """
-    weight = np.zeros(known.shape[0], dtype=np.int64)
+    rows = known.tolist()
+    weight = [0] * len(rows)
     order = []
     cliques = []
-    for _ in range(known.shape[0]):
-        v = int(np.argmax(weight))
-        clique = [v] + [w for w in order if known[v, w]]
-        if not known[np.ix_(clique, clique)].all():
+    for _ in rows:
+        v = weight.index(max(weight))
+        clique = [v] + [w for w in order if rows[v][w]]
+        if not all(rows[a][b] for a in clique for b in clique):
             return None
         cliques.append(clique)
         order.append(v)
-        weight += known[v]
-        weight[order] = -1  # a visited index is never chosen again
+        weight = [c + k if c >= 0 else c for c, k in zip(weight, rows[v])]
+        weight[v] = -1  # a visited index is never chosen again
     return cliques
 
 
@@ -371,15 +372,6 @@ def _psd_violation(worst: float) -> FeasibilityVerdict:
     return FeasibilityVerdict(INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst))
 
 
-def _checked(g: np.ndarray, tol: float) -> FeasibilityVerdict:
-    """Realizable with completion ``g``, a fresh array that the verdict then
-    owns, when its smallest eigenvalue is at least -tol; else Undetermined."""
-    if float(np.linalg.eigvalsh(g)[0]) >= -tol:
-        g.setflags(write=False)
-        return _own(FeasibilityVerdict, status=REALIZABLE, completed_gram=g, certificate=None)
-    return FeasibilityVerdict(UNDETERMINED)
-
-
 def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     """Decide exactly whether the determined overlaps complete to a PSD matrix.
 
@@ -391,12 +383,15 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
       completion under which the process acts coherently on superpositions.
     - Chordal: by Grone, Johnson, Sa and Wolkowicz (Linear Algebra Appl. 58,
       1984) a completion exists exactly when every fully determined clique
-      is PSD.  A clique with an eigenvalue below -tol gives Infeasible with
-      a psd_violation of minus the smallest clique eigenvalue.  Otherwise
-      the free entries are filled one at a time, keeping the pattern
-      chordal, by G_ij = G_iS G_SS^+ G_Sj over the common determined
+      is PSD.  The free entries are filled one at a time, keeping the
+      pattern chordal, by G_ij = G_iS G_SS^+ G_Sj over the common determined
       neighbours S of i and j (zero for an empty S); with positive definite
-      cliques this is the maximum-determinant completion.
+      cliques this is the maximum-determinant completion.  The cliques are
+      principal blocks of it, so their eigenvalues interlace its (Cauchy)
+      and are taken only when its check below fails: one below -tol gives
+      Infeasible with a psd_violation of minus the smallest.  Taking them
+      first could differ only where rounding puts a clique's and the
+      completion's smallest eigenvalues on either side of -tol.
     - 4-cycle, the only pattern on four indices that is not chordal: free
       pairs (u, v) and (k, l) sharing no index.  The chord G_uv must lie in
       one disk for each of k and l (see ``_cycle_chord``).  Disjoint disks
@@ -408,42 +403,44 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
       an eigenvalue below -tol, and Undetermined otherwise.
 
     A completion is Realizable only when its smallest eigenvalue is at
-    least -tol; otherwise the verdict is Undetermined, never Infeasible.
+    least -tol; otherwise the verdict is Undetermined, or Infeasible when a
+    chordal pattern's clique is not PSD.
     """
     # free entries start at one; every rule below reads determined entries
     # only until it has filled the free ones
     g = np.where(eg.known, eg.values, 1.0)
     deviation = np.abs(g - 1.0)
     deviation.flat[:: eg.n + 1] = 0.0  # the diagonal is one to 1e-12, whatever tol
-    if (deviation <= tol).all():
-        return _checked(g, tol)
-    known = np.array(eg.known)
-    cliques = _order_cliques(known)
-    if cliques is not None:
-        worst = min(float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0]) for c in cliques)
-        if worst < -tol:
-            return _psd_violation(worst)
-    elif eg.n == 4:
-        free = eg.free_pairs()
-        z, gap = _cycle_chord(g, free, tol)
-        if z is None:
-            return FeasibilityVerdict(
-                INFEASIBLE, certificate=Certificate(REASON_CYCLE, free[0], gap)
-            )
-        (u, v), _ = free
-        g[u, v] = z
-        g[v, u] = np.conj(z)
-        known[u, v] = known[v, u] = True
-        cliques = _order_cliques(known)
-    else:
-        # every fully determined triangle, in one batch
-        t = np.array(list(itertools.combinations(range(eg.n), 3)))
-        i, j, k = t.T
-        t = t[known[i, j] & known[i, k] & known[j, k]]
-        worst = float(np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0))
-        return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
-    _chordal_fill(g, known, [c[0] for c in cliques], tol)
-    return _checked(g, tol)
+    cliques = []  # fully determined blocks whose eigenvalues certify a failed check
+    if not (deviation <= tol).all():
+        known = np.array(eg.known)
+        cliques = walk = _order_cliques(known)
+        if cliques is None and eg.n == 4:
+            free = eg.free_pairs()
+            z, gap = _cycle_chord(g, free, tol)
+            if z is None:
+                return FeasibilityVerdict(
+                    INFEASIBLE, certificate=Certificate(REASON_CYCLE, free[0], gap)
+                )
+            (u, v), _ = free
+            g[u, v] = z
+            g[v, u] = np.conj(z)
+            known[u, v] = known[v, u] = True
+            walk, cliques = _order_cliques(known), []  # the chord certifies nothing
+        elif cliques is None:
+            # every fully determined triangle, in one batch
+            t = np.array(list(itertools.combinations(range(eg.n), 3)))
+            i, j, k = t.T
+            t = t[known[i, j] & known[i, k] & known[j, k]]
+            worst = float(np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0))
+            return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
+        _chordal_fill(g, known, [c[0] for c in walk], tol)
+    if float(np.linalg.eigvalsh(g)[0]) >= -tol:
+        g.setflags(write=False)  # a fresh array, which the verdict owns
+        return _own(FeasibilityVerdict, status=REALIZABLE, completed_gram=g, certificate=None)
+    # the fill leaves the determined entries as they were
+    worst = min((float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0]) for c in cliques), default=1.0)
+    return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
 
 
 def decide_feasibility(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:

@@ -1,9 +1,13 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import itertools
+import math
+
 import numpy as np
 
 from qcatalysis import (
     DependentBasisError,
+    EnvironmentGram,
     ProcessSpec,
     PureState,
     ket,
@@ -131,6 +135,126 @@ def random_factored_spec(rng: np.random.Generator) -> ProcessSpec:
             return ProcessSpec(dim_a, dim_b, tuple(pairs))
         except DependentBasisError:
             continue
+
+
+def chordal_spec(seed: int, realizable: bool = True) -> ProcessSpec:
+    """Four pairs on 2x3 whose one free environment overlap is (0, 1).
+
+    The outputs' overlaps have moduli 0.2 to 0.3, zero on (0, 1), and the
+    inputs' are theirs times the environment overlaps, so the pattern is
+    chordal.  A realizable spec takes its environment states from a
+    dilation (a random part mixed with a private one), and the fill closes
+    (0, 1) over S = {2, 3}.  Otherwise the forced environment overlaps have
+    moduli 0.8 to 0.95 and their block on {1, 2, 3} has an eigenvalue at
+    most -0.2: a psd_violation.
+    """
+    rng = np.random.default_rng(seed)
+    n, dims = 4, (2, 3)
+
+    def overlaps(lo, hi):
+        g = np.eye(n, dtype=np.complex128)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            if (i, j) != (0, 1):
+                g[i, j] = rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
+                g[j, i] = np.conj(g[i, j])
+        return g
+
+    g_out = overlaps(0.2, 0.3)
+    if realizable:
+        t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        env = np.vstack([np.sqrt(0.7) * t / np.linalg.norm(t, axis=0), np.sqrt(0.3) * np.eye(n)])
+        e_gram = env.conj().T @ env
+    else:
+        while True:
+            e_gram = overlaps(0.8, 0.95)
+            if np.linalg.eigvalsh(e_gram[1:, 1:])[0] <= -0.2:
+                break
+    inputs, outputs = (
+        random_unitary(rng, 6)[:, :n] @ np.linalg.cholesky(g).conj().T
+        for g in (g_out * e_gram, g_out)
+    )
+    pairs = tuple((PureState(dims, a), PureState(dims, b)) for a, b in zip(inputs.T, outputs.T))
+    return ProcessSpec(*dims, pairs)
+
+
+def _mcs_cliques(known: np.ndarray) -> list[list[int]] | None:
+    """Maximum-cardinality search from index 0 (lowest index on ties): each
+    index with its earlier-visited neighbours, or None at the first such
+    list that is not a clique (the pattern is not chordal)."""
+    weight = np.zeros(known.shape[0], dtype=np.int64)
+    order, cliques = [], []
+    for _ in range(known.shape[0]):
+        v = int(np.argmax(weight))
+        clique = [v] + [w for w in order if known[v, w]]
+        if not known[np.ix_(clique, clique)].all():
+            return None
+        cliques.append(clique)
+        order.append(v)
+        weight += known[v]
+        weight[order] = -1
+    return cliques
+
+
+def _fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float) -> None:
+    """G_vw = G_vS G_SS^+ G_Sw over the common neighbours S, in visit order."""
+    for k, v in enumerate(order):
+        for w in order[:k]:
+            if not known[v, w]:
+                s = np.flatnonzero(known[v] & known[w])
+                z = 0.0
+                if s.size:
+                    z = g[v, s] @ np.linalg.pinv(g[np.ix_(s, s)], rcond=tol, hermitian=True) @ g[s, w]
+                g[v, w], g[w, v] = z, np.conj(z)
+                known[v, w] = known[w, v] = True
+
+
+def clique_first_completion(eg: EnvironmentGram, tol: float):
+    """The completion rule with every determined clique's eigenvalues taken
+    before the fill, in plain numpy: (status, completed Gram or None,
+    (reason, pair, magnitude) or None).
+
+    Coherent patterns get ones; a chordal pattern is Infeasible when a clique
+    has an eigenvalue below -tol and is filled otherwise; a 4-cycle gets its
+    chord from the two triangle disks, then the fill; any other pattern is
+    Infeasible on a determined triangle below -tol, else Undetermined.  A
+    filled matrix is Realizable when its smallest eigenvalue is at least -tol.
+    """
+    n = eg.n
+    g = np.where(eg.known, eg.values, 1.0)
+    off = ~np.eye(n, dtype=bool)
+    known = np.array(eg.known)
+    if (np.abs(g - 1.0)[off] <= tol).all():
+        order = None
+    elif (cliques := _mcs_cliques(known)) is not None:
+        worst = min(np.linalg.eigvalsh(g[np.ix_(c, c)])[0] for c in cliques)
+        if worst < -tol:
+            return "infeasible", None, ("psd_violation", None, float(-worst))
+        order = [c[0] for c in cliques]
+    elif n == 4:
+        (u, v), (k, l) = [(i, j) for i, j in itertools.combinations(range(4), 2) if not known[i, j]]
+        (c1, c2), (r1, r2) = zip(*(
+            (g[u, m] * g[m, v], math.sqrt(max(0.0, (1.0 - abs(g[u, m]) ** 2) * (1.0 - abs(g[m, v]) ** 2))))
+            for m in (k, l)
+        ))
+        dist = abs(c1 - c2)
+        gap = dist - r1 - r2
+        if gap > tol:
+            return "infeasible", None, ("cycle_violation", (u, v), gap)
+        z = c1 if dist <= r2 + tol else c2 if dist <= r1 + tol else c1 + r1 * (c2 - c1) / dist
+        g[u, v], g[v, u] = z, np.conj(z)
+        known[u, v] = known[v, u] = True
+        order = [c[0] for c in _mcs_cliques(known)]
+    else:
+        triangles = [t for t in itertools.combinations(range(n), 3) if known[np.ix_(t, t)].all()]
+        worst = min((np.linalg.eigvalsh(g[np.ix_(t, t)])[0] for t in triangles), default=1.0)
+        if worst < -tol:
+            return "infeasible", None, ("psd_violation", None, float(-worst))
+        return "undetermined", None, None
+    if order is not None:
+        _fill(g, known, order, tol)
+    if np.linalg.eigvalsh(g)[0] >= -tol:
+        return "realizable", g, None
+    return "undetermined", None, None
 
 
 def trace_out_environment(vec: np.ndarray, env_dim: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import near_dependent_identity_spec, random_realizable_spec
+from helpers import chordal_spec, near_dependent_identity_spec, random_realizable_spec
 from qcatalysis import (
     classify,
     cloning_process,
@@ -187,6 +187,19 @@ class TestSpecFiles:
         golden = (GOLDEN_REPORTS / "rotated-deletion-3.json").read_bytes()
         assert emit_report(doc, "json") == golden
 
+    @pytest.mark.parametrize(
+        "name,realizable", [("chordal-fill-4", True), ("chordal-psd-violation", False)]
+    )
+    def test_check_chordal_file_matches_golden_report(self, name, realizable, tmp_path, monkeypatch):
+        # a disturbed catalyst with one free environment overlap: the chordal
+        # rule fills it (realizable) or certifies a determined clique that is
+        # not PSD; either way the classification is not_catalysis
+        save_process_spec(chordal_spec(0, realizable), tmp_path / f"{name}.spec.json")
+        monkeypatch.chdir(tmp_path)
+        doc, code = check_spec_file(f"{name}.spec.json", RunConfig())
+        assert code == EXIT_NEGATIVE
+        assert emit_report(doc, "json") == (GOLDEN_REPORTS / f"{name}.json").read_bytes()
+
     def test_deletion_round_trip(self, tmp_path):
         path = tmp_path / "deletion.json"
         save_process_spec(deletion_process(), path)
@@ -248,6 +261,27 @@ class TestSpecFiles:
         # within a relaxed tolerance the state is accepted and renormalized
         doc, code = check_spec_file(path, RunConfig(tolerance=1e-2))
         assert code == EXIT_PASS
+
+    @pytest.mark.parametrize("tolerance", ["1e-13", "1e-16"])
+    def test_saved_files_pass_the_norm_test_at_any_tolerance(self, tolerance, tmp_path, capsys):
+        # the 12 decimals of a saved file move a norm by about 1e-12, which a
+        # tighter --tolerance must not reject as unnormalized
+        specs = [cloning_process(), deletion_process(), chordal_spec(0), chordal_spec(0, False)]
+        specs.append(random_realizable_spec(np.random.default_rng(7))[0])
+        for k, spec in enumerate(specs):
+            path = tmp_path / f"spec{k}.json"
+            save_process_spec(spec, path)
+            code = main(["check", str(path), "--tolerance", tolerance, "--output", str(tmp_path / "r.json")])
+            assert code in (EXIT_PASS, EXIT_NEGATIVE, EXIT_UNDETERMINED), capsys.readouterr().err
+
+    def test_unnormalized_state_message_gives_its_deviation(self, tmp_path, capsys):
+        off = json.loads(json.dumps(IDENTITY_FILE))
+        off["pairs"][0]["in"][0] = [1.0 + 1e-6, 0.0]
+        path = write_json(tmp_path, "off.json", off)
+        assert main(["check", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "qcatalysis: pairs[0].in: state is not normalized (|norm - 1| = 1.000e-06)\n"
+        )
 
     @pytest.mark.parametrize(
         "mutate,field",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unitary
+from helpers import clique_first_completion, random_unitary
 from qcatalysis import (
     INFEASIBLE,
     QUANTUM_CATALYSIS,
@@ -348,3 +348,66 @@ class TestProperties:
         g = verdict.completed_gram
         assert np.max(np.abs(g - eg.values)[eg.known]) == 0.0
         assert np.linalg.eigvalsh(g)[0] >= -TOL
+
+
+def drawn_values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """Hermitian, unit diagonal, moduli at most one: a Gram matrix of random
+    rank, arbitrary moduli, moduli and phases 1e-13 to 1e-1 off one, or the
+    rank-one phases e^{i(p_i - p_j)} with up to two entries replaced."""
+    if kind == "gram":
+        return random_gram(rng, n, int(rng.integers(1, n + 1)))
+    if kind == "rank-one":
+        p = np.exp(2j * math.pi * rng.uniform(size=n))
+        g = np.outer(p, p.conj())
+        for _ in range(int(rng.integers(3))):
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            g[i, j] = rng.uniform() * np.exp(2j * math.pi * rng.uniform())
+            g[j, i] = np.conj(g[i, j])
+        return g
+    if kind == "arbitrary":
+        g = rng.uniform(size=(n, n)) * np.exp(2j * math.pi * rng.uniform(size=(n, n)))
+    else:  # near-coherent
+        eps = 10.0 ** rng.uniform(-13.0, -1.0, size=(n, n))
+        g = (1.0 - eps * rng.uniform(size=(n, n))) * np.exp(1j * eps * rng.standard_normal((n, n)))
+    g = np.triu(g, 1)
+    return g + g.conj().T + np.eye(n)
+
+
+class TestRuleOrder:
+    """The fill comes first and the clique eigenvalues only certify a failed
+    check; the verdicts, completions and certificates are those of the rule
+    that takes the clique eigenvalues first."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.42])
+    @pytest.mark.parametrize("kind", ["gram", "arbitrary", "near-coherent", "rank-one"])
+    def test_same_answers_as_clique_first_reference(self, kind, tol):
+        rng = np.random.default_rng([20261019, int(-math.log10(tol) * 100), len(kind)])
+        statuses = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            free = rng.uniform(size=n * (n - 1) // 2) < rng.uniform(0.0, 0.7)
+            eg = masked(drawn_values(rng, n, kind), free)
+            verdict = complete_psd(eg, tol)
+            status, gram, cert = clique_first_completion(eg, tol)
+            assert verdict.status == status
+            statuses.add(status)
+            if gram is not None:
+                assert verdict.completed_gram.tobytes() == gram.tobytes()
+            c = verdict.certificate
+            got = None if c is None else (c.reason, c.pair, repr(c.magnitude))
+            assert got == (None if cert is None else (cert[0], cert[1], repr(cert[2])))
+        assert REALIZABLE in statuses
+
+    def test_realizable_chordal_pattern_takes_one_eigenvalue_call(self, monkeypatch):
+        eg = pattern({(0, 2): 0.3, (1, 2): 0.4j, (0, 3): -0.2, (1, 3): 0.1, (2, 3): 0.25}, 4)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        verdict = complete_psd(eg)
+        assert verdict.status == REALIZABLE
+        assert calls == [(4, 4)]
