@@ -321,18 +321,16 @@ def _chordal_fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float
     Index v is joined to each earlier-visited index w it is not yet joined
     to, in visit order.  The earlier indices are then pairwise joined, so
     the pattern stays chordal and the common neighbours S of v and w form
-    the one clique the new entry closes: G_vw = G_vS G_SS^+ G_Sw, or zero
-    when S is empty.
+    the one clique the new entry closes: G_vw = G_vS G_SS^+ G_Sw (zero for
+    an empty S), G_SS^+ G_Sw being one least-squares solve that cuts
+    singular values at or below ``tol`` times the largest, as pinv does.
     """
     for k, v in enumerate(order):
         for w in order[:k]:
             if known[v, w]:
                 continue
             s = np.flatnonzero(known[v] & known[w])
-            z = 0.0
-            if s.size:
-                pinv = np.linalg.pinv(g[np.ix_(s, s)], rcond=tol, hermitian=True)
-                z = g[v, s] @ pinv @ g[s, w]
+            z = g[v, s] @ np.linalg.lstsq(g[np.ix_(s, s)], g[s, w], rcond=tol)[0] if s.size else 0.0
             g[v, w] = z
             g[w, v] = np.conj(z)
             known[v, w] = known[w, v] = True
@@ -385,13 +383,14 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
       1984) a completion exists exactly when every fully determined clique
       is PSD.  The free entries are filled one at a time, keeping the
       pattern chordal, by G_ij = G_iS G_SS^+ G_Sj over the common determined
-      neighbours S of i and j (zero for an empty S); with positive definite
-      cliques this is the maximum-determinant completion.  The cliques are
-      principal blocks of it, so their eigenvalues interlace its (Cauchy)
-      and are taken only when its check below fails: one below -tol gives
-      Infeasible with a psd_violation of minus the smallest.  Taking them
-      first could differ only where rounding puts a clique's and the
-      completion's smallest eigenvalues on either side of -tol.
+      neighbours S of i and j (zero for an empty S), each one least-squares
+      solve cutting singular values at or below tol times the largest; with
+      positive definite cliques this is the maximum-determinant completion.
+      The cliques are principal blocks of it, so their eigenvalues interlace
+      its (Cauchy) and are taken only when its check below fails: one below
+      -tol gives Infeasible with a psd_violation of minus the smallest.
+      Taking them first could differ only where rounding puts a clique's and
+      the completion's smallest eigenvalues on either side of -tol.
     - 4-cycle, the only pattern on four indices that is not chordal: free
       pairs (u, v) and (k, l) sharing no index.  The chord G_uv must lie in
       one disk for each of k and l (see ``_cycle_chord``).  Disjoint disks

@@ -137,14 +137,16 @@ def random_factored_spec(rng: np.random.Generator) -> ProcessSpec:
             continue
 
 
-def chordal_spec(seed: int, realizable: bool = True) -> ProcessSpec:
+def chordal_spec(seed: int, realizable: bool = True, rank_one: bool = False) -> ProcessSpec:
     """Four pairs on 2x3 whose one free environment overlap is (0, 1).
 
     The outputs' overlaps have moduli 0.2 to 0.3, zero on (0, 1), and the
     inputs' are theirs times the environment overlaps, so the pattern is
     chordal.  A realizable spec takes its environment states from a
     dilation (a random part mixed with a private one), and the fill closes
-    (0, 1) over S = {2, 3}.  Otherwise the forced environment overlaps have
+    (0, 1) over S = {2, 3}.  With ``rank_one`` the environment states differ
+    by phases only, G = p p^H, so the block on S is singular and the fill's
+    rank cut decides (0, 1).  Otherwise the forced environment overlaps have
     moduli 0.8 to 0.95 and their block on {1, 2, 3} has an eigenvalue at
     most -0.2: a psd_violation.
     """
@@ -160,7 +162,10 @@ def chordal_spec(seed: int, realizable: bool = True) -> ProcessSpec:
         return g
 
     g_out = overlaps(0.2, 0.3)
-    if realizable:
+    if rank_one:
+        p = np.exp(2j * np.pi * rng.uniform(size=n))
+        e_gram = np.outer(p, p.conj())
+    elif realizable:
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         env = np.vstack([np.sqrt(0.7) * t / np.linalg.norm(t, axis=0), np.sqrt(0.3) * np.eye(n)])
         e_gram = env.conj().T @ env
@@ -195,20 +200,24 @@ def _mcs_cliques(known: np.ndarray) -> list[list[int]] | None:
     return cliques
 
 
-def _fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float) -> None:
-    """G_vw = G_vS G_SS^+ G_Sw over the common neighbours S, in visit order."""
+def _fill(g: np.ndarray, known: np.ndarray, order: list[int], tol: float, pinv: bool) -> None:
+    """G_vw = G_vS G_SS^+ G_Sw over the common neighbours S, in visit order:
+    G_SS^+ G_Sw by one least-squares solve, or with ``pinv`` by the Hermitian
+    pseudo-inverse, both cutting at ``tol`` times the largest singular value."""
     for k, v in enumerate(order):
         for w in order[:k]:
             if not known[v, w]:
                 s = np.flatnonzero(known[v] & known[w])
                 z = 0.0
-                if s.size:
+                if s.size and pinv:
                     z = g[v, s] @ np.linalg.pinv(g[np.ix_(s, s)], rcond=tol, hermitian=True) @ g[s, w]
+                elif s.size:
+                    z = g[v, s] @ np.linalg.lstsq(g[np.ix_(s, s)], g[s, w], rcond=tol)[0]
                 g[v, w], g[w, v] = z, np.conj(z)
                 known[v, w] = known[w, v] = True
 
 
-def clique_first_completion(eg: EnvironmentGram, tol: float):
+def clique_first_completion(eg: EnvironmentGram, tol: float, pinv: bool = False):
     """The completion rule with every determined clique's eigenvalues taken
     before the fill, in plain numpy: (status, completed Gram or None,
     (reason, pair, magnitude) or None).
@@ -218,6 +227,7 @@ def clique_first_completion(eg: EnvironmentGram, tol: float):
     chord from the two triangle disks, then the fill; any other pattern is
     Infeasible on a determined triangle below -tol, else Undetermined.  A
     filled matrix is Realizable when its smallest eigenvalue is at least -tol.
+    With ``pinv`` each fill takes the pseudo-inverse instead of one solve.
     """
     n = eg.n
     g = np.where(eg.known, eg.values, 1.0)
@@ -251,7 +261,7 @@ def clique_first_completion(eg: EnvironmentGram, tol: float):
             return "infeasible", None, ("psd_violation", None, float(-worst))
         return "undetermined", None, None
     if order is not None:
-        _fill(g, known, order, tol)
+        _fill(g, known, order, tol, pinv)
     if np.linalg.eigvalsh(g)[0] >= -tol:
         return "realizable", g, None
     return "undetermined", None, None

@@ -188,13 +188,16 @@ class TestSpecFiles:
         assert emit_report(doc, "json") == golden
 
     @pytest.mark.parametrize(
-        "name,realizable", [("chordal-fill-4", True), ("chordal-psd-violation", False)]
+        "name,realizable",
+        [("chordal-fill-4", True), ("chordal-psd-violation", False), ("chordal-rank-one", True)],
     )
     def test_check_chordal_file_matches_golden_report(self, name, realizable, tmp_path, monkeypatch):
         # a disturbed catalyst with one free environment overlap: the chordal
-        # rule fills it (realizable) or certifies a determined clique that is
-        # not PSD; either way the classification is not_catalysis
-        save_process_spec(chordal_spec(0, realizable), tmp_path / f"{name}.spec.json")
+        # rule fills it (realizable; for rank-one, over a singular block that
+        # the rank cut decides) or certifies a determined clique that is not
+        # PSD; either way the classification is not_catalysis
+        spec = chordal_spec(0, realizable, rank_one=name == "chordal-rank-one")
+        save_process_spec(spec, tmp_path / f"{name}.spec.json")
         monkeypatch.chdir(tmp_path)
         doc, code = check_spec_file(f"{name}.spec.json", RunConfig())
         assert code == EXIT_NEGATIVE

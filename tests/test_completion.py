@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import clique_first_completion, random_unitary
+from helpers import chordal_spec, clique_first_completion, random_unitary
 from qcatalysis import (
     INFEASIBLE,
     QUANTUM_CATALYSIS,
@@ -27,6 +27,7 @@ from qcatalysis import (
     complete_psd,
     construct_isometry,
     decide_feasibility,
+    environment_gram,
     environment_vectors,
     ket,
     ket_plus,
@@ -373,6 +374,15 @@ def drawn_values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     return g + g.conj().T + np.eye(n)
 
 
+def seeded_patterns(kind: str, tol: float, *salt: int):
+    """60 seeded patterns, n = 2-7 with random masks, of ``drawn_values`` kind."""
+    rng = np.random.default_rng([20261019, int(-math.log10(tol) * 100), len(kind), *salt])
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        free = rng.uniform(size=n * (n - 1) // 2) < rng.uniform(0.0, 0.7)
+        yield masked(drawn_values(rng, n, kind), free)
+
+
 class TestRuleOrder:
     """The fill comes first and the clique eigenvalues only certify a failed
     check; the verdicts, completions and certificates are those of the rule
@@ -381,12 +391,8 @@ class TestRuleOrder:
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.42])
     @pytest.mark.parametrize("kind", ["gram", "arbitrary", "near-coherent", "rank-one"])
     def test_same_answers_as_clique_first_reference(self, kind, tol):
-        rng = np.random.default_rng([20261019, int(-math.log10(tol) * 100), len(kind)])
         statuses = set()
-        for _ in range(60):
-            n = int(rng.integers(2, 8))
-            free = rng.uniform(size=n * (n - 1) // 2) < rng.uniform(0.0, 0.7)
-            eg = masked(drawn_values(rng, n, kind), free)
+        for eg in seeded_patterns(kind, tol):
             verdict = complete_psd(eg, tol)
             status, gram, cert = clique_first_completion(eg, tol)
             assert verdict.status == status
@@ -411,3 +417,58 @@ class TestRuleOrder:
         verdict = complete_psd(eg)
         assert verdict.status == REALIZABLE
         assert calls == [(4, 4)]
+
+
+class TestChordalFill:
+    """Each free entry of a chordal pattern is one least-squares solve over
+    its clique: the pseudo-inverse fill, with the same rank cut."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.42])
+    @pytest.mark.parametrize("kind", ["gram", "arbitrary", "near-coherent", "rank-one"])
+    def test_fill_matches_pseudo_inverse_reference(self, kind, tol):
+        # the cut keeps blocks of condition number up to 1/tol, so explicit
+        # pseudo-inverses may err by about eps/tol; the solve does not, and
+        # may pass its check where the reference's fill failed it
+        bound = max(1e-13, 16.0 * np.finfo(float).eps / tol)
+        statuses = set()
+        for eg in seeded_patterns(kind, tol, 1):
+            verdict = complete_psd(eg, tol)
+            status, gram, cert = clique_first_completion(eg, tol, pinv=True)
+            assert verdict.status == status or (status, verdict.status) == (UNDETERMINED, REALIZABLE)
+            statuses.add(status)
+            if gram is not None:
+                assert np.max(np.abs(verdict.completed_gram - gram)) <= bound
+            c = verdict.certificate
+            got = None if c is None else (c.reason, c.pair, repr(c.magnitude))
+            assert got == (None if cert is None else (cert[0], cert[1], repr(cert[2])))
+        assert REALIZABLE in statuses
+
+    def test_one_free_overlap_takes_one_solve(self, monkeypatch):
+        eg = pattern({(0, 2): 0.3, (1, 2): 0.4j, (0, 3): -0.2, (1, 3): 0.1, (2, 3): 0.25}, 4)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return lstsq(a, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the fill takes no pseudo-inverse")
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(np.linalg, "pinv", refused)
+        verdict = complete_psd(eg)
+        assert verdict.status == REALIZABLE
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.42])
+    def test_singular_clique_fills_the_rank_one_gram(self, tol):
+        # environment states that differ by phases only: the block on the
+        # common neighbours {2, 3} of the free pair (0, 1) is rank one, so
+        # the rank cut decides the fill, which must give p_0 conj(p_1)
+        eg = environment_gram(chordal_spec(0, rank_one=True))
+        assert eg.free_pairs() == [(0, 1)]
+        u = np.where(eg.known[:, 2], eg.values[:, 2], 0.0)  # p_i conj(p_2)
+        verdict = complete_psd(eg, tol)
+        assert verdict.status == REALIZABLE
+        assert np.max(np.abs(verdict.completed_gram - np.outer(u, u.conj()))) <= 1e-12
