@@ -14,7 +14,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
+# report fields and deterministic serialization
 # ---------------------------------------------------------------------------
 
 
@@ -142,78 +142,120 @@ def _json_bytes(doc: dict) -> bytes:
     return ("".join(parts) + "\n").encode("utf-8")
 
 
-def _flat(record) -> dict:
-    """The fields of a flat dataclass, shallow: ``asdict`` deep-copies each one."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+def _json_value(value):
+    """A value as JSON values: a dataclass as the mapping of its fields, a
+    state as its amplitudes, a list or an array as a list, complex as [re, im]."""
+    if isinstance(value, PureState):
+        return _json_value(value.vector)
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, np.ndarray)):
+        return [_json_value(x) for x in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    return value
 
 
-def _cnum(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _flag(label: str):
+    return lambda flag: f"{label}: {'yes' if flag else 'no'}"
 
 
-def _cvec(v) -> list[list[float]]:
-    return [_cnum(z) for z in np.asarray(v).reshape(-1)]
+def _verdict_text(verdict: dict) -> str:
+    lines = [f"verdict: {verdict['status']}"]
+    cert = verdict["certificate"]
+    if cert is not None:
+        pair = cert["pair"]
+        where = f" at pair ({pair[0]},{pair[1]})" if pair is not None else ""
+        lines.append(f"certificate: {cert['reason']}{where}, magnitude {_fmt(cert['magnitude'])}")
+    return "\n".join(lines)
 
 
-def _text_lines(doc: dict) -> list[str]:
-    lines = [f"qcatalysis report (schema {doc['schema_version']})"]
-    lines.append(f"scenario: {doc['scenario']}")
-    lines.append(f"status: {doc['status']}")
-    if doc.get("classification") is not None:
-        lines.append(f"classification: {doc['classification']}")
-    if doc.get("reason"):
-        lines.append(f"reason: {doc['reason']}")
-    verdict = doc.get("verdict")
-    if verdict is not None:
-        lines.append(f"verdict: {verdict['status']}")
-        cert = verdict.get("certificate")
-        if cert is not None:
-            pair = cert["pair"]
-            where = f" at pair ({pair[0]},{pair[1]})" if pair is not None else ""
-            lines.append(
-                f"certificate: {cert['reason']}{where}, magnitude "
-                f"{_fmt(cert['magnitude'])}"
-            )
-    flags = (
-        ("catalyst intact", (doc.get("catalyst_intact") or {}).get("overall")),
-        ("coherence preserving", doc.get("coherence_preserving")),
-        ("conversion impossible for Bob alone", doc.get("bob_alone_impossible")),
-    )
-    for label, flag in flags:
-        if flag is not None:
-            lines.append(f"{label}: {'yes' if flag else 'no'}")
-    for w in doc.get("witnesses") or []:
-        lines.append(
-            "witness: concurrence "
-            f"{_fmt(w['concurrence_in'])} -> {_fmt(w['concurrence_out'])}"
-        )
-    if doc.get("sweep") is not None:
-        concs = [p["out_concurrence"] for p in doc["sweep"]]
-        lines.append(f"sweep points: {len(concs)}")
-        zero = sum(1 for c in concs if c is not None and c <= 1e-9)
-        lines.append(f"sweep points with zero output entanglement: {zero}")
-        if None in concs:
-            lines.append(f"sweep points without a realizable verdict: {concs.count(None)}")
-    if doc.get("protocol") is not None:
-        proto = doc["protocol"]
-        lines.append(
-            f"protocol: {proto['inputs_checked']} inputs, "
-            f"min branch fidelity {_fmt(proto['min_branch_fidelity'])}"
-        )
-    ledger = doc.get("ledger")
-    if ledger is not None:
-        lines.append(
-            f"ledger: {ledger['ebits_consumed']} ebit(s), "
-            f"{ledger['cbits_a_to_b']} cbit(s) A->B, "
-            f"{ledger['cbits_b_to_a']} cbit(s) B->A"
-        )
-    for note in doc.get("notes") or []:
-        lines.append(f"note: {note}")
-    lines.append("assertions:")
-    for item in doc["assertions"]:
-        mark = "ok" if item["passed"] else "FAIL"
-        lines.append(f"  [{mark}] {item['name']}")
-    return lines
+def _sweep_text(sweep: list[dict]) -> str:
+    concs = [p["out_concurrence"] for p in sweep]
+    zero = sum(1 for c in concs if c is not None and c <= 1e-9)
+    text = f"sweep points: {len(concs)}\nsweep points with zero output entanglement: {zero}"
+    if None in concs:
+        text += f"\nsweep points without a realizable verdict: {concs.count(None)}"
+    return text
+
+
+_OPTIONAL = object()
+
+# Every report field, in the order of the text report (JSON sorts the keys):
+# its value where a report does not set it (_OPTIONAL: absent), its value from
+# a CatalysisReport, and its text from a value that is not None ("": no line)
+_REPORT_FIELDS = {
+    "schema_version": (SCHEMA_VERSION, None, "qcatalysis report (schema {})".format),
+    "scenario": (None, None, "scenario: {}".format),
+    "config": (None, None, None),
+    "source": (_OPTIONAL, None, None),
+    "status": (None, None, "status: {}".format),
+    "classification": (None, lambda r: r.classification, "classification: {}".format),
+    "reason": (None, lambda r: r.reason, "reason: {}".format),
+    "verdict": (None, lambda r: r.verdict, _verdict_text),
+    "catalyst_intact": (
+        None,
+        lambda r: {"per_pair": [p.intact for p in r.pair_reports], "overall": r.catalyst_intact},
+        lambda c: _flag("catalyst intact")(c["overall"]),
+    ),
+    "coherence_preserving": (
+        None,
+        lambda r: r.coherence_preserving,
+        _flag("coherence preserving"),
+    ),
+    "bob_alone_impossible": (
+        None,
+        lambda r: r.bob_alone_impossible,
+        _flag("conversion impossible for Bob alone"),
+    ),
+    "witnesses": (
+        [],
+        lambda r: [] if r.witness is None else [r.witness],
+        lambda ws: "\n".join(
+            f"witness: concurrence {_fmt(w['concurrence_in'])} -> {_fmt(w['concurrence_out'])}"
+            for w in ws
+        ),
+    ),
+    "environment_dimension": (_OPTIONAL, None, None),
+    "sweep": (None, None, _sweep_text),
+    "protocol": (
+        None,
+        None,
+        lambda p: f"protocol: {p['inputs_checked']} inputs, "
+        f"min branch fidelity {_fmt(p['min_branch_fidelity'])}",
+    ),
+    "ledger": (
+        None,
+        None,
+        "ledger: {ebits_consumed} ebit(s), {cbits_a_to_b} cbit(s) A->B, "
+        "{cbits_b_to_a} cbit(s) B->A".format_map,
+    ),
+    "notes": ([], None, lambda notes: "\n".join(f"note: {note}" for note in notes)),
+    "assertions": (
+        [],
+        None,
+        lambda items: "\n".join(
+            ["assertions:"] + [f"  [{'ok' if a['passed'] else 'FAIL'}] {a['name']}" for a in items]
+        ),
+    ),
+}
+
+
+def _doc(scenario: str, config: RunConfig, report: CatalysisReport | None = None, **given) -> dict:
+    """A report: the ``given`` fields, the classification from ``report``, and
+    every other field that is not optional at its default."""
+    given.update(scenario=scenario, config=config)
+    doc = {}
+    for name, (default, of_report, _) in _REPORT_FIELDS.items():
+        if name in given:
+            doc[name] = _json_value(given.pop(name))
+        elif report is not None and of_report is not None:
+            doc[name] = _json_value(of_report(report))
+        elif default is not _OPTIONAL:
+            doc[name] = _json_value(default)
+    if given:
+        raise TypeError(f"not report fields: {sorted(given)}")
+    return doc
 
 
 def emit_report(doc: dict, fmt: str) -> bytes:
@@ -221,70 +263,23 @@ def emit_report(doc: dict, fmt: str) -> bytes:
     if fmt == "json":
         return _json_bytes(doc)
     if fmt == "text":
-        return ("\n".join(_text_lines(doc)) + "\n").encode("utf-8")
+        texts = [
+            text(doc[name])
+            for name, (_, _, text) in _REPORT_FIELDS.items()
+            if text is not None and doc.get(name) is not None
+        ]
+        return "".join(f"{t}\n" for t in texts if t).encode("utf-8")
     raise UsageError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# scenarios and their checks
 # ---------------------------------------------------------------------------
 
 
-def _base_doc(scenario: str, config: RunConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": scenario,
-        "config": _flat(config),
-        "classification": None,
-        "reason": None,
-        "verdict": None,
-        "catalyst_intact": None,
-        "coherence_preserving": None,
-        "bob_alone_impossible": None,
-        "witnesses": [],
-        "sweep": None,
-        "protocol": None,
-        "ledger": None,
-        "notes": [],
-    }
-
-
-def _witness_doc(report: CatalysisReport) -> list[dict]:
-    w = report.witness
-    if w is None:
-        return []
-    return [
-        {
-            "coefficients": _cvec(w.coefficients),
-            "concurrence_in": w.concurrence_in,
-            "concurrence_out": w.concurrence_out,
-            "input": _cvec(w.input.vector),
-            "output": _cvec(w.output.vector),
-        }
-    ]
-
-
-def _fill_classification(doc: dict, report: CatalysisReport) -> None:
-    v = report.verdict
-    doc["classification"] = report.classification
-    doc["reason"] = report.reason
-    doc["verdict"] = {
-        "status": v.status,
-        "certificate": _flat(v.certificate) if v.certificate is not None else None,
-        "completed_gram": [_cvec(row) for row in v.completed_gram] if v.is_realizable else None,
-    }
-    doc["catalyst_intact"] = {
-        "per_pair": [p.intact for p in report.pair_reports],
-        "overall": report.catalyst_intact,
-    }
-    doc["coherence_preserving"] = report.coherence_preserving
-    doc["bob_alone_impossible"] = report.bob_alone_impossible
-    doc["witnesses"] = _witness_doc(report)
-
-
 def _finish(doc: dict, checks: list[tuple[str, bool]]) -> tuple[dict, int]:
-    doc["assertions"] = [{"name": n, "passed": bool(ok)} for n, ok in checks]
     passed = all(ok for _, ok in checks)
+    doc["assertions"] = [{"name": n, "passed": bool(ok)} for n, ok in checks]
     doc["status"] = "pass" if passed else "fail"
     return doc, EXIT_PASS if passed else EXIT_ASSERTION
 
@@ -329,10 +324,7 @@ def _scenario_cloning(config: RunConfig) -> tuple[dict, int]:
         ),
         ("bob_alone_impossible", report.bob_alone_impossible),
     ]
-    doc = _base_doc("cloning", config)
-    _fill_classification(doc, report)
-    doc["environment_dimension"] = env_dim
-    return _finish(doc, checks)
+    return _finish(_doc("cloning", config, report, environment_dimension=env_dim), checks)
 
 
 def _scenario_deletion(config: RunConfig) -> tuple[dict, int]:
@@ -363,9 +355,7 @@ def _scenario_deletion(config: RunConfig) -> tuple[dict, int]:
             w is not None and abs(w.concurrence_out - 1.0) <= 1e-9,
         ),
     ]
-    doc = _base_doc("deletion", config)
-    _fill_classification(doc, report)
-    return _finish(doc, checks)
+    return _finish(_doc("deletion", config, report), checks)
 
 
 def _scenario_deletion_sweep(config: RunConfig) -> tuple[dict, int]:
@@ -396,9 +386,7 @@ def _scenario_deletion_sweep(config: RunConfig) -> tuple[dict, int]:
         ("entangled_whenever_residues_overlap", above),
         ("orthogonal_residue_point_zero_concurrence", orthogonal_ok),
     ]
-    doc = _base_doc("deletion-sweep", config)
-    doc["sweep"] = [{**_flat(p), "overlap": _cnum(p.overlap)} for p in points]
-    return _finish(doc, checks)
+    return _finish(_doc("deletion-sweep", config, sweep=points), checks)
 
 
 def _scenario_no_info_cloning(config: RunConfig) -> tuple[dict, int]:
@@ -418,21 +406,16 @@ def _scenario_no_info_cloning(config: RunConfig) -> tuple[dict, int]:
             cert is not None and cert.pair is not None and 2 in cert.pair,
         ),
     ]
-    doc = _base_doc("no-info-cloning", config)
-    _fill_classification(doc, report)
-    return _finish(doc, checks)
+    return _finish(_doc("no-info-cloning", config, report), checks)
 
 
-def _protocol_doc(name, config, ledger, min_fid, max_prob_err) -> dict:
-    doc = _base_doc(name, config)
-    doc["protocol"] = {
+def _protocol(min_fid: float, max_prob_err: float | None) -> dict:
+    return {
         "inputs_checked": _PROTOCOL_INPUTS,
         "branches_per_input": 4,
         "min_branch_fidelity": min_fid,
         "max_branch_probability_error": max_prob_err,
     }
-    doc["ledger"] = _flat(ledger)
-    return doc
 
 
 # a CNOT with the first qubit as control swaps the |10> and |11> amplitudes
@@ -467,8 +450,8 @@ def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
         ("branch_probabilities_sum_to_one", np.abs(probs.sum(1) - 1).max() <= 1e-12),
         ("ledger_one_ebit_two_cbits", ledger == TELEPORT_LEDGER),
     ]
-    doc = _protocol_doc("teleport", config, TELEPORT_LEDGER, min_fid, max_prob_err)
-    return _finish(doc, checks)
+    protocol = _protocol(min_fid, max_prob_err)
+    return _finish(_doc("teleport", config, protocol=protocol, ledger=TELEPORT_LEDGER), checks)
 
 
 def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
@@ -490,13 +473,16 @@ def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
         ("ledger_single_ebit", ledger.ebits_consumed == 1),
         ("ledger_one_cbit_each_way", ledger == NONLOCAL_CNOT_LEDGER),
     ]
-    doc = _protocol_doc("nonlocal-cnot", config, NONLOCAL_CNOT_LEDGER, min_fid, None)
-    doc["notes"] = [
+    notes = [
         "the copying interaction turns a separable input into a maximally "
         "entangled pair (one ebit); classical communication alone cannot "
         "create entanglement, so one shared ebit is necessary, and this "
         "protocol realizes the interaction consuming exactly one",
     ]
+    protocol = _protocol(min_fid, None)
+    doc = _doc(
+        "nonlocal-cnot", config, protocol=protocol, ledger=NONLOCAL_CNOT_LEDGER, notes=notes
+    )
     return _finish(doc, checks)
 
 
@@ -599,10 +585,7 @@ def process_spec_to_mapping(spec: ProcessSpec) -> dict:
         "version": 1,
         "dimA": spec.dim_a,
         "dimB": spec.dim_b,
-        "pairs": [
-            {"in": _cvec(a.vector), "out": _cvec(b.vector)}
-            for a, b in spec.pairs
-        ],
+        "pairs": [{"in": _json_value(a), "out": _json_value(b)} for a, b in spec.pairs],
     }
 
 
@@ -618,11 +601,8 @@ def check_spec_file(path, config: RunConfig) -> tuple[dict, int]:
     """
     spec = load_process_spec(path, config.tolerance)
     report = classify(spec, config.tolerance)
-    doc = _base_doc("spec-file", config)
-    doc["source"] = str(path)
-    _fill_classification(doc, report)
-    doc["assertions"] = []
-    doc["status"] = "pass" if report.classification != NOT_CATALYSIS else "fail"
+    status = "pass" if report.classification != NOT_CATALYSIS else "fail"
+    doc = _doc("spec-file", config, report, source=str(path), status=status)
     if report.verdict.status == UNDETERMINED:
         return doc, EXIT_UNDETERMINED
     if report.classification == NOT_CATALYSIS:

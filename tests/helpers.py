@@ -284,6 +284,22 @@ def near_dependent_identity_spec() -> ProcessSpec:
     return ProcessSpec(2, 2, tuple((a, a) for a in inputs))
 
 
+def undetermined_cycle_spec() -> ProcessSpec:
+    """Five pairs on 2x3 whose nonzero overlaps form a 5-cycle, with one
+    forced environment overlap 1/2: not coherent, not chordal, and no exact
+    completion rule applies, so the verdict is undetermined."""
+    cycle = np.roll(np.eye(5), 1, axis=1)
+    g_out = np.eye(5) + 0.3 * (cycle + cycle.T)
+    env = np.ones((5, 5))
+    env[0, 1] = env[1, 0] = 0.5
+    families = []
+    for g in (g_out * env, g_out):
+        factor = np.linalg.cholesky(g).T
+        families.append([np.concatenate([factor[:, i], [0.0]]) for i in range(5)])
+    pairs = tuple((PureState((2, 3), a), PureState((2, 3), b)) for a, b in zip(*families))
+    return ProcessSpec(2, 3, pairs)
+
+
 def batched_protocol_figures(name: str, seed: int) -> tuple[float, float | None, float]:
     """Minimum branch fidelity, maximum |p - 1/4| (teleport only; None for
     nonlocal-cnot) and maximum |sum p - 1| over the scenario's inputs, taken

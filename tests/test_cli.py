@@ -11,7 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import chordal_spec, near_dependent_identity_spec, random_realizable_spec
+from helpers import (
+    chordal_spec,
+    near_dependent_identity_spec,
+    random_realizable_spec,
+    undetermined_cycle_spec,
+)
 from qcatalysis import (
     classify,
     cloning_process,
@@ -51,6 +56,19 @@ IDENTITY_FILE = {
     "pairs": [
         {"in": [[1, 0], [0, 0], [0, 0], [0, 0]], "out": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         {"in": [[0, 0], [0, 0], [1, 0], [0, 0]], "out": [[0, 0], [0, 0], [1, 0], [0, 0]]},
+    ],
+}
+
+# independent inputs whose overlap cannot survive: |<in|in>| = 1/sqrt(2) but
+# the outputs are orthogonal, an impossible overlap increase
+_S = 1.0 / np.sqrt(2.0)
+NEGATIVE_FILE = {
+    "version": 1,
+    "dimA": 2,
+    "dimB": 2,
+    "pairs": [
+        {"in": [[1, 0], [0, 0], [0, 0], [0, 0]], "out": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"in": [[_S, 0], [0, 0], [_S, 0], [0, 0]], "out": [[0, 0], [0, 0], [0, 0], [1, 0]]},
     ],
 }
 
@@ -174,7 +192,8 @@ class TestSpecFiles:
         assert code == EXIT_PASS
         assert doc["classification"] == "quantum_catalysis"
 
-    def test_check_rotated_deletion_file_matches_golden_report(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_check_rotated_deletion_file_matches_golden_report(self, fmt, tmp_path, monkeypatch):
         # the product-vector scan decides this witness; the file is checked
         # under its relative name, which the report records as its source
         from test_witness_search import rotated_deletion_spec
@@ -182,26 +201,38 @@ class TestSpecFiles:
         name = "rotated-deletion-3.spec.json"
         save_process_spec(rotated_deletion_spec(3), tmp_path / name)
         monkeypatch.chdir(tmp_path)
-        doc, code = check_spec_file(name, RunConfig())
+        doc, code = check_spec_file(name, RunConfig(format=fmt))
         assert code == EXIT_PASS
-        golden = (GOLDEN_REPORTS / "rotated-deletion-3.json").read_bytes()
-        assert emit_report(doc, "json") == golden
+        golden = (GOLDEN_REPORTS / f"rotated-deletion-3.{GOLDEN_SUFFIX[fmt]}").read_bytes()
+        assert emit_report(doc, fmt) == golden
 
     @pytest.mark.parametrize(
-        "name,realizable",
-        [("chordal-fill-4", True), ("chordal-psd-violation", False), ("chordal-rank-one", True)],
+        "name,realizable,fmt",
+        [
+            pytest.param(name, realizable, fmt, id=f"{name}-{realizable}{suffix}")
+            for name, realizable in [
+                ("chordal-fill-4", True),
+                ("chordal-psd-violation", False),
+                ("chordal-rank-one", True),
+            ]
+            for fmt, suffix in [("json", ""), ("text", "-text")]
+        ],
     )
-    def test_check_chordal_file_matches_golden_report(self, name, realizable, tmp_path, monkeypatch):
+    def test_check_chordal_file_matches_golden_report(
+        self, name, realizable, fmt, tmp_path, monkeypatch
+    ):
         # a disturbed catalyst with one free environment overlap: the chordal
         # rule fills it (realizable; for rank-one, over a singular block that
         # the rank cut decides) or certifies a determined clique that is not
-        # PSD; either way the classification is not_catalysis
+        # PSD; either way the classification is not_catalysis.  The PSD
+        # violation's certificate names no pair, so its text has no "at pair"
         spec = chordal_spec(0, realizable, rank_one=name == "chordal-rank-one")
         save_process_spec(spec, tmp_path / f"{name}.spec.json")
         monkeypatch.chdir(tmp_path)
-        doc, code = check_spec_file(f"{name}.spec.json", RunConfig())
+        doc, code = check_spec_file(f"{name}.spec.json", RunConfig(format=fmt))
         assert code == EXIT_NEGATIVE
-        assert emit_report(doc, "json") == (GOLDEN_REPORTS / f"{name}.json").read_bytes()
+        golden = (GOLDEN_REPORTS / f"{name}.{GOLDEN_SUFFIX[fmt]}").read_bytes()
+        assert emit_report(doc, fmt) == golden
 
     def test_deletion_round_trip(self, tmp_path):
         path = tmp_path / "deletion.json"
@@ -469,19 +500,7 @@ class TestMainEntryPoint:
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_DATA
 
     def test_check_negative_file(self, tmp_path, capsys):
-        # independent inputs whose overlap cannot survive: |<in|in>| = 1/sqrt(2)
-        # but the outputs are orthogonal, an impossible overlap increase
-        s = 1.0 / np.sqrt(2.0)
-        negative = {
-            "version": 1,
-            "dimA": 2,
-            "dimB": 2,
-            "pairs": [
-                {"in": [[1, 0], [0, 0], [0, 0], [0, 0]], "out": [[1, 0], [0, 0], [0, 0], [0, 0]]},
-                {"in": [[s, 0], [0, 0], [s, 0], [0, 0]], "out": [[0, 0], [0, 0], [0, 0], [1, 0]]},
-            ],
-        }
-        path = write_json(tmp_path, "negative.json", negative)
+        path = write_json(tmp_path, "negative.json", NEGATIVE_FILE)
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_NEGATIVE
 
@@ -495,23 +514,8 @@ class TestMainEntryPoint:
         assert main(["check", str(path)]) == EXIT_DATA
 
     def test_check_undetermined_file(self, tmp_path, capsys):
-        # five pairs on 2x3 whose nonzero overlaps form a 5-cycle, one forced
-        # environment overlap 1/2: not coherent, not chordal, no exact rule
-        from qcatalysis import ProcessSpec, PureState
-
-        cycle = np.roll(np.eye(5), 1, axis=1)
-        g_out = np.eye(5) + 0.3 * (cycle + cycle.T)
-        env = np.ones((5, 5))
-        env[0, 1] = env[1, 0] = 0.5
-        families = []
-        for g in (g_out * env, g_out):
-            factor = np.linalg.cholesky(g).T
-            families.append([np.concatenate([factor[:, i], [0.0]]) for i in range(5)])
-        pairs = tuple(
-            (PureState((2, 3), a), PureState((2, 3), b)) for a, b in zip(*families)
-        )
         path = tmp_path / "und.json"
-        save_process_spec(ProcessSpec(2, 3, pairs), path)
+        save_process_spec(undetermined_cycle_spec(), path)
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_UNDETERMINED
 
@@ -624,14 +628,76 @@ def test_run_config_stores_numpy_and_other_real_numbers_as_int_and_float():
 
 
 def test_failed_assertions_yield_exit_two():
-    from qcatalysis.cli import _base_doc, _finish
+    from qcatalysis.cli import _doc, _finish
 
-    doc = _base_doc("cloning", RunConfig())
+    doc = _doc("cloning", RunConfig())
     doc, code = _finish(doc, [("something_true", True), ("something_false", False)])
     assert code == EXIT_ASSERTION
     assert doc["status"] == "fail"
     named = [a["name"] for a in doc["assertions"] if not a["passed"]]
     assert named == ["something_false"]
+
+
+def report_of_kind(kind: str, tmp_path) -> dict:
+    """A report of one kind: a scenario's, no-info-cloning's at a tolerance
+    that reaches the dependent-input reason, or a check's, one per verdict."""
+    if kind in SCENARIOS:
+        return run_scenario(kind, RunConfig())[0]
+    if kind == "no-info-cloning-0.42":
+        doc, _ = run_scenario("no-info-cloning", RunConfig(tolerance=0.42))
+        assert doc["reason"].startswith("no witness search")
+        return doc
+    spec, status, has_pair = {
+        "check-realizable": (cloning_process(), "realizable", None),
+        "check-pair-certificate": (parse_process_spec(NEGATIVE_FILE), "infeasible", True),
+        "check-pairless-certificate": (chordal_spec(0, False), "infeasible", False),
+        "check-undetermined": (undetermined_cycle_spec(), "undetermined", None),
+    }[kind]
+    save_process_spec(spec, tmp_path / "spec.json")
+    doc, _ = check_spec_file(tmp_path / "spec.json", RunConfig())
+    assert doc["verdict"]["status"] == status
+    if has_pair is not None:
+        assert (doc["verdict"]["certificate"]["pair"] is not None) == has_pair
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        *SCENARIOS,
+        "no-info-cloning-0.42",
+        "check-realizable",
+        "check-pair-certificate",
+        "check-pairless-certificate",
+        "check-undetermined",
+    ],
+)
+def test_report_fields_are_the_table_rows(kind, tmp_path):
+    # the field table is the only list of report fields: every report has
+    # its required keys and only optional keys it declares, and the text
+    # report is its renderers' text, in table order
+    from qcatalysis.cli import _OPTIONAL, _REPORT_FIELDS
+
+    doc = report_of_kind(kind, tmp_path)
+    required = {name for name, (default, *_) in _REPORT_FIELDS.items() if default is not _OPTIONAL}
+    keys = json.loads(emit_report(doc, "json")).keys()
+    assert required <= keys <= _REPORT_FIELDS.keys()
+    assert ("source" in keys) == kind.startswith("check")
+    assert ("environment_dimension" in keys) == (kind == "cloning")
+    text = emit_report(doc, "text").decode()
+    for name, (_, _, render) in _REPORT_FIELDS.items():
+        if render is not None and doc.get(name) is not None and render(doc[name]):
+            block = render(doc[name]) + "\n"
+            assert text.startswith(block), name
+            text = text.removeprefix(block)
+    assert text == ""
+
+
+def test_report_builder_rejects_a_field_outside_the_table():
+    from qcatalysis.cli import _doc
+
+    with pytest.raises(TypeError, match="not report fields"):
+        _doc("cloning", RunConfig(), witness=[])
 
 
 def test_resource_ledger_rejects_negative_counts():
