@@ -126,14 +126,13 @@ def uninformed_cloning_process() -> ProcessSpec:
     """Cloning attempt where Bob starts in |0> regardless of i.
 
     Bob holds no information about Alice's state, so no physical process
-    can produce the copies; the feasibility check certifies this.
+    can produce the copies; the feasibility check certifies this.  The
+    inputs are dependent (|+>|0> is a combination of the first two), which
+    the overlap-ratio argument never reads.
     """
     target = standard_triple("target")
     pairs = tuple((tensor(t, ket("0")), tensor(t, t)) for t in target)
-    # the inputs are dependent (|+>|0> is a combination of the first two),
-    # which is fine: the overlap-ratio argument certifies infeasibility
-    # before any span-based machinery would run
-    return ProcessSpec(2, 2, pairs, require_independent_inputs=False)
+    return ProcessSpec(2, 2, pairs)
 
 
 def deletion_process(
@@ -541,11 +540,10 @@ def find_entangling_witness(
     """Search for a separable input mapped to an entangled output.
 
     The independence rule and the span map live on ProcessSpec: a family
-    built with ``require_independent_inputs=False`` whose inputs are
-    dependent raises DependentBasisError, whatever ``tol``.  Every stage
-    expands its candidates over the inputs through the spec's one map, its
-    ``span_map`` A^+ = R^-1 Q_1^H; ``tol`` loosens only the residual below
-    which a named state counts as inside the span.
+    whose inputs are dependent raises DependentBasisError, whatever ``tol``.
+    Every stage expands its candidates over the inputs through the spec's
+    one map, its ``span_map`` A^+ = R^-1 Q_1^H; ``tol`` loosens only the
+    residual below which a named state counts as inside the span.
 
     Two stages run in a fixed order.  The canonical stage tries uniform
     pairwise superpositions of the specified inputs and, on two qubits, the
@@ -589,8 +587,8 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     NotCatalysis with the reason.  Otherwise a witness search runs when
     the environment overlaps are all one; absence of a witness is reported
     as such and never promoted to a claim of classical catalysis.  A spec
-    admitted with dependent inputs gets no witness search: it is reported
-    as no_entangling_witness_found with a reason naming those inputs.
+    with dependent inputs gets no witness search: it is reported as
+    no_entangling_witness_found with a reason naming those inputs.
     """
     verdict = decide_feasibility(spec, tol)
     pair_reports, bob_flag = _catalyst_checks(spec, tol)

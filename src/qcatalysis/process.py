@@ -67,20 +67,17 @@ class ProcessSpec:
 
     The input and output matrices A and B (one column per pair) and their
     Gram matrices A^H A and B^H B are built once, read-only, and every layer
-    reads them from here.  The spec also owns the span of its inputs and its
-    one independence rule: a smallest input Gram eigenvalue at or below
-    DEFAULT_TOL raises DependentBasisError, whatever tolerance a later call
-    is given.  On an independent family the check and one complete QR
-    A = QR run once, cached.  ``require_independent_inputs=False`` admits a
-    dependent family so that the overlap-ratio feasibility argument (which
-    never needs independence) can certify a negative control; every
-    span-based operation still raises on it when first used.
+    reads them from here.  Any family is a spec: feasibility reads only the
+    Gram matrices, never the span.  The spec also owns the span of its inputs
+    and its one independence rule, which fires where the span is first
+    needed: a smallest input Gram eigenvalue at or below DEFAULT_TOL raises
+    DependentBasisError, whatever tolerance that call is given.  On an
+    independent family the check and one complete QR A = QR run once, cached.
     """
 
     dim_a: int
     dim_b: int
     pairs: tuple[tuple[PureState, PureState], ...]
-    require_independent_inputs: bool = True
 
     def __post_init__(self):
         pairs = tuple((a, b) for a, b in self.pairs)
@@ -96,8 +93,6 @@ class ProcessSpec:
         object.__setattr__(self, "dim_a", want[0])
         object.__setattr__(self, "dim_b", want[1])
         object.__setattr__(self, "pairs", pairs)
-        if self.require_independent_inputs:
-            self._span  # raises DependentBasisError for a dependent family
 
     @property
     def n(self) -> int:

@@ -131,10 +131,12 @@ def random_factored_spec(rng: np.random.Generator) -> ProcessSpec:
             vin, a = state()
             vout = state(a)[0]
             pairs.append(tuple(PureState((dim_a, dim_b), v) for v in (vin, vout)))
+        spec = ProcessSpec(dim_a, dim_b, tuple(pairs))
         try:
-            return ProcessSpec(dim_a, dim_b, tuple(pairs))
+            spec.span_basis  # raises DependentBasisError for a dependent family
         except DependentBasisError:
             continue
+        return spec
 
 
 def chordal_spec(seed: int, realizable: bool = True, rank_one: bool = False) -> ProcessSpec:

@@ -147,9 +147,7 @@ class TestWitnessSearch:
         # identity on |00>, |01>, |0+>: realizable, coherent and catalyst
         # intact, but |0+> is a combination of the other two inputs
         inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
-        spec = ProcessSpec(
-            2, 2, tuple((a, a) for a in inputs), require_independent_inputs=False
-        )
+        spec = ProcessSpec(2, 2, tuple((a, a) for a in inputs))
         verdict = decide_feasibility(spec)
         assert verdict.is_realizable
         with pytest.raises(DependentBasisError) as exc:

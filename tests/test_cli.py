@@ -23,6 +23,7 @@ from qcatalysis import (
     construct_isometry,
     deletion_process,
     environment_vectors,
+    uninformed_cloning_process,
 )
 from qcatalysis.cli import (
     EXIT_ASSERTION,
@@ -72,6 +73,18 @@ NEGATIVE_FILE = {
     ],
 }
 
+
+# the report fields that classify a process, which check of a scenario's
+# spec file shares with run of the scenario
+CLASSIFICATION_FIELDS = (
+    "classification",
+    "reason",
+    "verdict",
+    "catalyst_intact",
+    "coherence_preserving",
+    "bob_alone_impossible",
+    "witnesses",
+)
 
 # the default JSON and text report of every scenario, as committed; regenerate
 # a file only for a deliberate change of the report
@@ -185,12 +198,34 @@ class TestSpecFiles:
             before.witness.coefficients, after.witness.coefficients
         )
 
-    def test_check_cloning_file_matches_scenario(self, tmp_path):
-        path = tmp_path / "cloning.json"
-        save_process_spec(cloning_process(), path)
-        doc, code = check_spec_file(path, RunConfig())
-        assert code == EXIT_PASS
-        assert doc["classification"] == "quantum_catalysis"
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-3, 0.42])
+    @pytest.mark.parametrize("name", ["cloning", "deletion", "no-info-cloning"])
+    def test_check_cloning_file_matches_scenario(self, name, tolerance, tmp_path):
+        # check of a scenario's spec saved to a file classifies it as run
+        # does, dependent inputs (no-info-cloning) included, and exits by
+        # check's own rule
+        make = {
+            "cloning": cloning_process,
+            "deletion": deletion_process,
+            "no-info-cloning": uninformed_cloning_process,
+        }[name]
+        path = tmp_path / f"{name}.json"
+        save_process_spec(make(), path)
+        config = RunConfig(tolerance=tolerance)
+        doc, code = check_spec_file(path, config)
+        ran, _ = run_scenario(name, config)
+        for field in CLASSIFICATION_FIELDS:
+            assert emit_report({field: doc[field]}, "json") == emit_report(
+                {field: ran[field]}, "json"
+            ), field
+        if doc["verdict"]["status"] == "undetermined":
+            assert code == EXIT_UNDETERMINED
+        elif doc["classification"] == "not_catalysis":
+            assert code == EXIT_NEGATIVE
+        else:
+            assert code == EXIT_PASS
+        if (name, tolerance) == ("cloning", 1e-9):
+            assert doc["classification"] == "quantum_catalysis"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_check_rotated_deletion_file_matches_golden_report(self, fmt, tmp_path, monkeypatch):
@@ -264,14 +299,17 @@ class TestSpecFiles:
             load_process_spec(path, 1.5)
         assert exc.value.field == "pairs[1].in"
 
-    def test_dependent_inputs_rejected(self, tmp_path):
-        bad = json.loads(json.dumps(IDENTITY_FILE))
-        bad["pairs"][1] = bad["pairs"][0]
-        path = write_json(tmp_path, "dep.json", bad)
-        with pytest.raises(SpecFileError) as exc:
-            check_spec_file(path, RunConfig())
-        assert exc.value.field == "pairs"
-        assert "inputs 0, 1 are linearly dependent" in str(exc.value)
+    def test_dependent_inputs_decided(self, tmp_path):
+        # a repeated pair is a spec like any other: the identity on it is
+        # realizable and coherent, and only the witness search, which needs
+        # the span, is skipped with the dependence as its reason
+        dep = json.loads(json.dumps(IDENTITY_FILE))
+        dep["pairs"][1] = dep["pairs"][0]
+        path = write_json(tmp_path, "dep.json", dep)
+        doc, code = check_spec_file(path, RunConfig())
+        assert code == EXIT_PASS
+        assert doc["classification"] == "no_entangling_witness_found"
+        assert doc["reason"].startswith("no witness search: inputs 0, 1 are linearly dependent")
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -504,14 +542,18 @@ class TestMainEntryPoint:
         code = main(["check", str(path), "--output", str(tmp_path / "r.json")])
         assert code == EXIT_NEGATIVE
 
-    def test_check_dependent_inputs_file_is_data_error(self, tmp_path, capsys):
-        # the built-in negative-control scenario waives input independence
-        # internally, but user files must satisfy it
-        from qcatalysis import uninformed_cloning_process
-
+    def test_check_no_info_file_is_certified_infeasible(self, tmp_path, capsys):
+        # the negative-control family has dependent inputs; check decides it
+        # as run does, with the modulus certificate, not as a data error
         path = tmp_path / "noinfo.json"
         save_process_spec(uninformed_cloning_process(), path)
-        assert main(["check", str(path)]) == EXIT_DATA
+        report = tmp_path / "r.json"
+        assert main(["check", str(path), "--output", str(report)]) == EXIT_NEGATIVE
+        assert capsys.readouterr().err == ""
+        cert = json.loads(report.read_bytes())["verdict"]["certificate"]
+        assert cert["reason"] == "modulus_violation"
+        assert cert["pair"] == [0, 2]
+        assert abs(cert["magnitude"] - np.sqrt(2.0)) <= 1e-9
 
     def test_check_undetermined_file(self, tmp_path, capsys):
         path = tmp_path / "und.json"

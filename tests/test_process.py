@@ -5,10 +5,15 @@ import pytest
 
 from helpers import (
     near_dependent_identity_spec,
+    random_factored_spec,
+    random_generic_spec,
     random_realizable_spec,
     trace_out_environment,
 )
 from qcatalysis import (
+    INFEASIBLE,
+    REALIZABLE,
+    UNDETERMINED,
     DensityMatrix,
     DependentBasisError,
     EnvironmentGram,
@@ -48,9 +53,20 @@ def identity_process() -> ProcessSpec:
 
 class TestProcessSpec:
     def test_rejects_dependent_inputs(self):
-        pairs = ((ket("00"), ket("00")), (ket("00"), ket("11")))
-        with pytest.raises(DependentBasisError):
-            ProcessSpec(2, 2, pairs)
+        # a dependent family is a spec, and feasibility decides it; only
+        # its span refuses it, naming the inputs involved
+        repeated = ProcessSpec(2, 2, ((ket("00"), ket("00")), (ket("00"), ket("11"))))
+        for spec, reason, pair, dependent in [
+            (repeated, "output_null_input_not", (0, 1), (0, 1)),
+            (uninformed_cloning_process(), "modulus_violation", (0, 2), (0, 1, 2)),
+        ]:
+            verdict = decide_feasibility(spec)
+            assert verdict.status == INFEASIBLE
+            assert (verdict.certificate.reason, verdict.certificate.pair) == (reason, pair)
+            with pytest.raises(DependentBasisError) as exc:
+                spec.span_map
+            assert exc.value.dependent == dependent
+            assert exc.value.min_gram_eigenvalue <= 1e-9
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="dims"):
@@ -60,6 +76,8 @@ class TestProcessSpec:
             ProcessSpec(2.9, 2, ((ket("00"), ket("00")),))
 
     def test_independence_check_can_be_waived(self):
+        # no option waives it any more: every spec waives the check until
+        # a span user first needs the span
         spec = uninformed_cloning_process()
         assert spec.n == 3
 
@@ -384,9 +402,7 @@ class TestApplyProcess:
         # combination of the other two inputs, so every span-based entry
         # point refuses it by ProcessSpec's rule, whatever tol
         inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
-        spec = ProcessSpec(
-            2, 2, tuple((a, a) for a in inputs), require_independent_inputs=False
-        )
+        spec = ProcessSpec(2, 2, tuple((a, a) for a in inputs))
         verdict = decide_feasibility(spec)
         assert verdict.is_realizable
         with pytest.raises(DependentBasisError) as exc:
@@ -523,3 +539,66 @@ class TestOutputDensity:
             assert abs(np.trace(m).real - 1.0) < 1e-9
             assert np.linalg.eigvalsh(m)[0] > -1e-9
             done += 1
+
+
+class TestNoCloning:
+    # a family with one input twice is a spec like any other, so the
+    # no-cloning theorem can be put to the engine in its own terms
+    @staticmethod
+    def families():
+        """240 seeded families, a third from each generator, each with its
+        tolerance (1e-9, 1e-6 or 1e-2) and its generator for further draws."""
+        makers = (
+            random_factored_spec,
+            lambda rng: random_realizable_spec(rng)[0],
+            random_generic_spec,
+        )
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            yield makers[seed % 3](rng), (1e-9, 1e-6, 1e-2)[seed // 3 % 3], rng
+
+    @staticmethod
+    def appended(spec, k, output):
+        pairs = spec.pairs + ((spec.pairs[k][0], output),)
+        return ProcessSpec(spec.dim_a, spec.dim_b, pairs)
+
+    def test_a_repeated_pair_keeps_the_verdict(self):
+        # the forced environment overlaps of the copy are those of pair k and
+        # one with k, so a completion extends by repeating row k and any
+        # infeasible block stays: a decided verdict cannot flip, and a
+        # coherent family stays realizable
+        seen = {REALIZABLE: 0, INFEASIBLE: 0, "coherent": 0}
+        for spec, tol, _ in self.families():
+            verdict = decide_feasibility(spec, tol)
+            coherent = verdict.is_realizable and np.max(np.abs(verdict.completed_gram - 1.0)) <= tol
+            for k in range(spec.n):
+                status = decide_feasibility(self.appended(spec, k, spec.pairs[k][1]), tol).status
+                if coherent:
+                    assert status == REALIZABLE
+                elif verdict.status != UNDETERMINED:
+                    assert status in (verdict.status, UNDETERMINED)
+            seen["coherent" if coherent else verdict.status] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_second_output_for_one_input_is_infeasible(self):
+        # input k sent to an output c with |<b_k|c>| <= 1 - 2 tol, so
+        # fidelity below 1 - tol: the forced overlap 1 / <b_k|c> has a
+        # modulus above 1 + tol, or <b_k|c> vanishes
+        seen = {REALIZABLE: 0, INFEASIBLE: 0, UNDETERMINED: 0}
+        for spec, tol, rng in self.families():
+            status = decide_feasibility(spec, tol).status
+            seen[status] += 1
+            d = spec.dim_a * spec.dim_b
+            for k, (_, b) in enumerate(spec.pairs):
+                w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                w -= np.vdot(b.vector, w) * b.vector
+                overlap = rng.choice([0.0, rng.uniform(0.0, 1.0 - 2.0 * tol), 1.0 - 2.0 * tol])
+                c = overlap * b.vector + math.sqrt(1.0 - overlap**2) * w / np.linalg.norm(w)
+                verdict = decide_feasibility(self.appended(spec, k, PureState(b.dims, c)), tol)
+                assert verdict.status == INFEASIBLE
+                cert = verdict.certificate
+                assert cert.reason in ("modulus_violation", "output_null_input_not")
+                if status == REALIZABLE:
+                    # every pair of the family passes, so the violation is the copy's
+                    assert spec.n in cert.pair
+        assert seen[REALIZABLE] >= 20 and seen[INFEASIBLE] >= 20, seen
