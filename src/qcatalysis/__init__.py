@@ -5,140 +5,21 @@ system is physically realizable, whether it leaves the first party's
 state untouched (catalysis), and whether the required interaction can
 generate entanglement from a separable input (quantum catalysis), with
 teleportation-based demonstrations of the entanglement cost.
+
+Each module's ``__all__`` is its public list; the package republishes
+all four.
 """
 
-from .analyzer import (
-    NO_WITNESS_FOUND,
-    NOT_CATALYSIS,
-    QUANTUM_CATALYSIS,
-    CatalysisReport,
-    DeletionFamilyPoint,
-    WitnessRecord,
-    catalyst_intact,
-    circular_pair_input,
-    classify,
-    cloning_process,
-    deletion_family_sweep,
-    deletion_process,
-    deletion_residue,
-    find_entangling_witness,
-    uninformed_cloning_process,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    MAX_DIM,
-    DependentBasisError,
-    DimensionMismatchError,
-    inner,
-    phase_aligned_distance,
-)
-from .process import (
-    INFEASIBLE,
-    REALIZABLE,
-    UNDETERMINED,
-    Certificate,
-    DensityMatrix,
-    EnvironmentGram,
-    EnvironmentsDifferError,
-    FeasibilityVerdict,
-    OutsideSpanError,
-    ProcessSpec,
-    apply_process,
-    complete_psd,
-    construct_isometry,
-    decide_feasibility,
-    environment_gram,
-    environment_vectors,
-    output_density,
-)
-from .states import (
-    EntangledStateError,
-    GateSpec,
-    PureState,
-    apply_gate,
-    concurrence,
-    fidelity,
-    ket,
-    ket_minus,
-    ket_plus,
-    product_factorize,
-    random_state,
-    random_states,
-    schmidt_coefficients,
-    standard_triple,
-    tensor,
-)
-from .teleport import (
-    NONLOCAL_CNOT_LEDGER,
-    TELEPORT_LEDGER,
-    BranchOutcome,
-    ResourceLedger,
-    bell_pair,
-    nonlocal_cnot,
-    teleport,
-)
+# the aliases read each module's list: ``from .teleport import *`` binds the
+# function ``teleport`` over the submodule attribute of the same name
+from . import analyzer as _analyzer, process as _process, states as _states, teleport as _teleport
+from .analyzer import *  # noqa: F403
+from .process import *  # noqa: F403
+from .states import *  # noqa: F403
+from .teleport import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchOutcome",
-    "CatalysisReport",
-    "Certificate",
-    "DEFAULT_TOL",
-    "DeletionFamilyPoint",
-    "DensityMatrix",
-    "DependentBasisError",
-    "DimensionMismatchError",
-    "EntangledStateError",
-    "EnvironmentGram",
-    "EnvironmentsDifferError",
-    "FeasibilityVerdict",
-    "GateSpec",
-    "INFEASIBLE",
-    "MAX_DIM",
-    "NONLOCAL_CNOT_LEDGER",
-    "NOT_CATALYSIS",
-    "NO_WITNESS_FOUND",
-    "OutsideSpanError",
-    "ProcessSpec",
-    "PureState",
-    "QUANTUM_CATALYSIS",
-    "REALIZABLE",
-    "ResourceLedger",
-    "TELEPORT_LEDGER",
-    "UNDETERMINED",
-    "WitnessRecord",
-    "apply_gate",
-    "apply_process",
-    "bell_pair",
-    "catalyst_intact",
-    "circular_pair_input",
-    "classify",
-    "cloning_process",
-    "complete_psd",
-    "concurrence",
-    "construct_isometry",
-    "decide_feasibility",
-    "deletion_family_sweep",
-    "deletion_process",
-    "deletion_residue",
-    "environment_gram",
-    "environment_vectors",
-    "fidelity",
-    "find_entangling_witness",
-    "inner",
-    "ket",
-    "ket_minus",
-    "ket_plus",
-    "nonlocal_cnot",
-    "output_density",
-    "phase_aligned_distance",
-    "product_factorize",
-    "random_state",
-    "random_states",
-    "schmidt_coefficients",
-    "standard_triple",
-    "teleport",
-    "tensor",
-    "uninformed_cloning_process",
-]
+__all__ = sorted(_analyzer.__all__ + _process.__all__ + _states.__all__ + _teleport.__all__)
+
+del _analyzer, _process, _states, _teleport

@@ -9,14 +9,32 @@ transmission of an arbitrary qubit.
 
 from __future__ import annotations
 
+__all__ = [
+    "NOT_CATALYSIS",
+    "NO_WITNESS_FOUND",
+    "QUANTUM_CATALYSIS",
+    "CatalysisReport",
+    "DeletionFamilyPoint",
+    "WitnessRecord",
+    "catalyst_intact",
+    "circular_pair_input",
+    "classify",
+    "cloning_process",
+    "deletion_family_sweep",
+    "deletion_process",
+    "deletion_residue",
+    "find_entangling_witness",
+    "uninformed_cloning_process",
+]
+
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DependentBasisError
 from .process import (
+    DependentBasisError,
     EnvironmentsDifferError,
     FeasibilityVerdict,
     ProcessSpec,
@@ -25,6 +43,7 @@ from .process import (
     decide_feasibility,
 )
 from .states import (
+    DEFAULT_TOL,
     PureState,
     _schmidt,
     concurrence,

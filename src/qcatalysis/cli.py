@@ -30,14 +30,19 @@ from .analyzer import (
     deletion_residue,
     uninformed_cloning_process,
 )
-from .linalg import DEFAULT_TOL, MAX_DIM, inner, phase_aligned_distance
-from .process import (
-    UNDETERMINED,
-    ProcessSpec,
-    construct_isometry,
-    environment_vectors,
+from .process import UNDETERMINED, ProcessSpec, construct_isometry
+from .states import (
+    DEFAULT_TOL,
+    MAX_DIM,
+    PureState,
+    inner,
+    ket,
+    ket_plus,
+    phase_aligned_distance,
+    random_states,
+    standard_triple,
+    tensor,
 )
-from .states import PureState, ket, ket_plus, random_states, standard_triple, tensor
 from .teleport import NONLOCAL_CNOT_LEDGER, TELEPORT_LEDGER, nonlocal_cnot, teleport
 
 SCHEMA_VERSION = "1.0"
@@ -288,14 +293,15 @@ def _isometry_checks(spec: ProcessSpec, report: CatalysisReport, tol: float):
     if not report.verdict.is_realizable:
         return False, False, None
     v = construct_isometry(spec, report.verdict, tol)
-    sig = environment_vectors(report.verdict.completed_gram)
-    r = sig.shape[0]
+    b = spec.output_matrix()
+    d = b.shape[0]
+    r = v.shape[0] // d
     unitary = bool(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-9)
-    # column i: V (a_i (x) e0), and b_i (x) s_i
-    got = v[:, ::r] @ spec.input_matrix()
-    wanted = (spec.output_matrix()[:, None, :] * sig[None, :, :]).reshape(got.shape)
-    overlaps = np.abs(np.sum(wanted.conj() * got, axis=0)) ** 2
-    return unitary, not np.any(overlaps < 1.0 - 1e-12), r
+    # got[:, :, i] is V (a_i (x) e0) by (system, environment) index; with rho_i
+    # its reduced system state, <b_i|rho_i|b_i> = |(<b_i| (x) I) V (a_i (x) e0)|^2
+    got = (v[:, ::r] @ spec.input_matrix()).reshape(d, r, -1)
+    weights = np.sum(np.abs(np.sum(b.conj()[:, None, :] * got, axis=0)) ** 2, axis=0)
+    return unitary, not np.any(weights < 1.0 - 1e-12), r
 
 
 def _scenario_cloning(config: RunConfig) -> tuple[dict, int]:

@@ -12,10 +12,32 @@ so feasibility reduces to completing the partially determined matrix of
 environment overlaps to a positive semidefinite Gram matrix with unit
 diagonal.  This module builds that matrix, decides completability, and
 when the answer is yes constructs an explicit isometry and applies the
-process to superposition inputs.
+process to superposition inputs.  ``DependentBasisError`` lives here too,
+beside ``ProcessSpec``'s span, its only raiser.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "INFEASIBLE",
+    "REALIZABLE",
+    "UNDETERMINED",
+    "Certificate",
+    "DensityMatrix",
+    "DependentBasisError",
+    "EnvironmentGram",
+    "EnvironmentsDifferError",
+    "FeasibilityVerdict",
+    "OutsideSpanError",
+    "ProcessSpec",
+    "apply_process",
+    "complete_psd",
+    "construct_isometry",
+    "decide_feasibility",
+    "environment_gram",
+    "environment_vectors",
+    "output_density",
+]
 
 import itertools
 import math
@@ -24,8 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DependentBasisError
-from .states import PureState, _index, _own
+from .states import DEFAULT_TOL, PureState, _index, _own
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -37,6 +58,28 @@ REASON_PSD = "psd_violation"
 REASON_CYCLE = "cycle_violation"
 
 _RANK_CUTOFF = 1e-9
+
+
+class DependentBasisError(ValueError):
+    """Inputs that should be linearly independent are not.
+
+    Carries ``min_gram_eigenvalue``, the smallest eigenvalue of the input
+    Gram matrix, as the evidence of (near-)dependence, and ``dependent``,
+    the indices of the inputs its eigenvector involves.  The message shows
+    an eigenvalue within n * eps of zero, rounding noise for the n unit
+    inputs, as zero.
+    """
+
+    def __init__(self, min_gram_eigenvalue: float, dependent: tuple[int, ...], n: int):
+        self.min_gram_eigenvalue = float(min_gram_eigenvalue)
+        self.dependent = dependent
+        shown = self.min_gram_eigenvalue
+        if abs(shown) <= n * np.finfo(float).eps:
+            shown = 0.0
+        super().__init__(
+            f"inputs {', '.join(map(str, dependent))} are linearly dependent "
+            f"within tolerance (smallest Gram eigenvalue {shown:.3e})"
+        )
 
 
 class OutsideSpanError(ValueError):
@@ -123,7 +166,7 @@ class ProcessSpec:
         if eigs[0] <= DEFAULT_TOL:
             # the inputs that the near-null combination involves
             involved = np.flatnonzero(abs(vecs[:, 0]) > DEFAULT_TOL)
-            raise DependentBasisError(eigs[0], tuple(involved.tolist()))
+            raise DependentBasisError(eigs[0], tuple(involved.tolist()), self.n)
         q, r = np.linalg.qr(a, mode="complete")
         span_map = np.linalg.solve(r[: self.n], q[:, : self.n].conj().T)
         q.setflags(write=False)

@@ -1,6 +1,36 @@
-"""Pure states on small multi-qubit registers, gates, and entanglement measures."""
+"""Pure states on small multi-qubit registers, gates, and entanglement measures.
+
+Also the package's vector validation (``as_vector``, which ``PureState``
+calls, and the ``inner`` and ``phase_aligned_distance`` built on it) and
+its shared constants: ``DEFAULT_TOL``, the default tolerance of every
+decision, and ``MAX_DIM``, the cap of 64 on a state's total dimension
+(six qubits), above which inputs are rejected instead of slowing down.
+"""
 
 from __future__ import annotations
+
+__all__ = [
+    "DEFAULT_TOL",
+    "MAX_DIM",
+    "DimensionMismatchError",
+    "EntangledStateError",
+    "GateSpec",
+    "PureState",
+    "apply_gate",
+    "concurrence",
+    "fidelity",
+    "inner",
+    "ket",
+    "ket_minus",
+    "ket_plus",
+    "phase_aligned_distance",
+    "product_factorize",
+    "random_state",
+    "random_states",
+    "schmidt_coefficients",
+    "standard_triple",
+    "tensor",
+]
 
 import math
 import operator
@@ -8,12 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    MAX_DIM,
-    DimensionMismatchError,
-    as_vector,
-)
+DEFAULT_TOL = 1e-9
+MAX_DIM = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -28,6 +54,10 @@ def _index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+class DimensionMismatchError(ValueError):
+    """Operands live in different Hilbert spaces."""
+
+
 class EntangledStateError(ValueError):
     """A state expected to be a product across the cut is entangled.
 
@@ -40,6 +70,49 @@ class EntangledStateError(ValueError):
             f"state is entangled across the requested cut "
             f"(second Schmidt coefficient {self.second_coefficient:.3e})"
         )
+
+
+def as_vector(values, dim: int | None = None) -> np.ndarray:
+    """Validate and return a 1-D complex128 copy of ``values``.
+
+    Makes one copy and tests its complex entries for finiteness once;
+    rejects non-finite entries and dimensions outside [1, MAX_DIM].
+    ``PureState`` calls it once per state.
+    """
+    v = np.array(values, dtype=np.complex128).ravel()
+    if v.size == 0:
+        raise ValueError("vector must have at least one amplitude")
+    if v.size > MAX_DIM:
+        raise ValueError(f"dimension {v.size} exceeds the cap of {MAX_DIM}")
+    if dim is not None and v.size != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    return v
+
+
+def inner(u, v) -> complex:
+    """Inner product <u|v>, conjugate-linear in the first argument."""
+    a = as_vector(u)
+    b = as_vector(v)
+    if a.size != b.size:
+        raise DimensionMismatchError(
+            f"inner product needs equal dimensions, got {a.size} and {b.size}"
+        )
+    return complex(np.vdot(a, b))
+
+
+def phase_aligned_distance(u, v) -> float:
+    """Euclidean distance between vectors after optimal global phase on v."""
+    a = as_vector(u)
+    b = as_vector(v)
+    if a.size != b.size:
+        raise DimensionMismatchError(
+            f"phase alignment needs equal dimensions, got {a.size} and {b.size}"
+        )
+    ov = np.vdot(b, a)
+    phase = ov / abs(ov) if abs(ov) > 0.0 else 1.0
+    return float(np.linalg.norm(a - phase * b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,16 @@ catalysis interaction.
 
 from __future__ import annotations
 
+__all__ = [
+    "NONLOCAL_CNOT_LEDGER",
+    "TELEPORT_LEDGER",
+    "BranchOutcome",
+    "ResourceLedger",
+    "bell_pair",
+    "nonlocal_cnot",
+    "teleport",
+]
+
 import math
 from dataclasses import dataclass
 

@@ -203,6 +203,16 @@ class TestClassify:
         assert report.classification == NO_WITNESS_FOUND
         assert report.catalyst_intact
 
+    def test_one_dimensional_catalyst_has_no_witness(self):
+        # with dimA = 1 every state is a product: the witness scores take
+        # their one-factor branch and no witness is claimed
+        basis = [PureState((1, 2), np.array(v)) for v in ([1.0, 0.0], [0.0, 1.0])]
+        report = classify(ProcessSpec(1, 2, tuple((a, a) for a in basis)))
+        assert report.classification == NO_WITNESS_FOUND
+        assert report.verdict.is_realizable and report.coherence_preserving
+        assert report.catalyst_intact
+        assert report.witness is None
+
     def test_disturbed_catalyst_reported(self):
         pairs = (
             (tensor(ket("0"), ket("0")), tensor(ket("1"), ket("0"))),

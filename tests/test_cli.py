@@ -15,6 +15,7 @@ from helpers import (
     chordal_spec,
     near_dependent_identity_spec,
     random_realizable_spec,
+    trace_out_environment,
     undetermined_cycle_spec,
 )
 from qcatalysis import (
@@ -139,15 +140,16 @@ class TestScenarios:
             if k % 2:
                 v = v[:, rng.permutation(v.shape[1])]
             monkeypatch.setattr(cli, "construct_isometry", lambda *args: v)
-            sig = environment_vectors(report.verdict.completed_gram)
-            e0 = np.eye(sig.shape[0])[0]
+            r = environment_vectors(report.verdict.completed_gram).shape[0]
+            e0 = np.eye(r)[0]
+            # <b_i|rho_i|b_i> >= 1 - 1e-12, rho_i the reduced system state of V (a_i (x) e0)
+            rhos = [trace_out_environment(v @ np.kron(a.vector, e0), r) for a, _ in spec.pairs]
             expected = all(
-                abs(np.vdot(np.kron(b.vector, sig[:, i]), v @ np.kron(a.vector, e0))) ** 2
-                >= 1.0 - 1e-12
-                for i, (a, b) in enumerate(spec.pairs)
+                np.vdot(b.vector, rho @ b.vector).real >= 1.0 - 1e-12
+                for rho, (_, b) in zip(rhos, spec.pairs)
             )
-            unitary, pairs_ok, r = cli._isometry_checks(spec, report, 1e-9)
-            assert (unitary, pairs_ok, r) == (True, expected, sig.shape[0])
+            unitary, pairs_ok, env_dim = cli._isometry_checks(spec, report, 1e-9)
+            assert (unitary, pairs_ok, env_dim) == (True, expected, r)
             seen[expected] += 1
         assert min(seen.values()) >= 10
 
@@ -381,6 +383,17 @@ class TestSpecFiles:
                 "pairs[0].in",
                 id="norm-not-a-number",
             ),
+            pytest.param(
+                lambda d: d["pairs"][0]["in"].__setitem__(0, 1),
+                "pairs[0].in[0]",
+                id="amplitude-not-a-pair",
+            ),
+            # JSON's 1e400 parses as inf
+            pytest.param(
+                lambda d: d["pairs"][0]["in"][0].__setitem__(0, json.loads("1e400")),
+                "pairs[0].in",
+                id="non-finite",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -390,6 +403,11 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError) as exc:
             parse_process_spec(data)
         assert exc.value.field == field
+
+    def test_top_level_list_is_refused(self):
+        with pytest.raises(SpecFileError) as exc:
+            parse_process_spec([IDENTITY_FILE])
+        assert exc.value.field == "document"
 
     def test_mapping_round_trip_is_exact(self):
         spec = deletion_process()
@@ -526,7 +544,11 @@ class TestMainEntryPoint:
         doc, code = run_scenario("no-info-cloning", RunConfig(tolerance=tolerance))
         assert code == EXIT_ASSERTION
         assert doc["classification"] == "no_entangling_witness_found"
-        assert doc["reason"].startswith("no witness search: inputs 0, 1, 2 are linearly dependent")
+        # the smallest Gram eigenvalue is rounding noise, so it prints as zero
+        assert doc["reason"] == (
+            "no witness search: inputs 0, 1, 2 are linearly dependent within "
+            "tolerance (smallest Gram eigenvalue 0.000e+00)"
+        )
 
     def test_invalid_steps_is_usage_error(self, capsys):
         assert main(["run", "deletion-sweep", "--steps", "1"]) == EXIT_USAGE
@@ -657,6 +679,11 @@ def test_run_config_refuses_a_field_of_the_wrong_type(field, value):
     message = rf"^{field} must be (an integer|a real number), got {re.escape(repr(value))}$"
     with pytest.raises(UsageError, match=message):
         RunConfig(**{field: value})
+
+
+def test_run_config_refuses_an_unknown_format():
+    with pytest.raises(UsageError, match="^format must be 'json' or 'text', got 'xml'$"):
+        RunConfig(format="xml")
 
 
 def test_run_config_stores_numpy_and_other_real_numbers_as_int_and_float():

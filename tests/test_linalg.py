@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatalysis.linalg import DimensionMismatchError, inner, phase_aligned_distance
+from qcatalysis.states import DimensionMismatchError, inner, phase_aligned_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -49,6 +49,11 @@ class TestInner:
         lhs = inner(u, 0.3j * v + 2.0 * w)
         rhs = 0.3j * inner(u, v) + 2.0 * inner(u, w)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_phase_aligned_distance_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="^phase alignment needs equal dimensions"):
+        phase_aligned_distance(KET0, np.array([1.0, 0.0, 0.0]))
 
 
 def test_phase_aligned_distance_ignores_phase():

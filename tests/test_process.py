@@ -33,6 +33,7 @@ from qcatalysis import (
     deletion_process,
     environment_gram,
     environment_vectors,
+    find_entangling_witness,
     ket,
     ket_plus,
     output_density,
@@ -74,6 +75,11 @@ class TestProcessSpec:
         # a non-integer dimension is refused, not truncated to match (2, 2)
         with pytest.raises(ValueError, match="^dim_a must be an integer, got 2.9$"):
             ProcessSpec(2.9, 2, ((ket("00"), ket("00")),))
+
+    def test_rejects_an_empty_family(self):
+        message = r"^a process needs at least one \(input, output\) pair$"
+        with pytest.raises(ValueError, match=message):
+            ProcessSpec(2, 2, ())
 
     def test_independence_check_can_be_waived(self):
         # no option waives it any more: every spec waives the check until
@@ -337,6 +343,46 @@ class TestConstructIsometry:
                 got = v @ np.kron(a.vector, e0)
                 want = np.kron(b.vector, sig[:, i])
                 assert np.max(np.abs(got - want)) < 1e-9
+
+
+class TestVerdictGuards:
+    @pytest.mark.parametrize("status", [INFEASIBLE, UNDETERMINED])
+    @pytest.mark.parametrize(
+        "operation, name",
+        [
+            (lambda spec, verdict: find_entangling_witness(spec, verdict), "witness search"),
+            (lambda spec, verdict: construct_isometry(spec, verdict), "construct_isometry"),
+            (
+                lambda spec, verdict: apply_process(spec, verdict, spec.pairs[0][0]),
+                "apply_process",
+            ),
+            (
+                lambda spec, verdict: output_density(spec, verdict, spec.pairs[0][0]),
+                "output_density",
+            ),
+        ],
+        ids=["find_entangling_witness", "construct_isometry", "apply_process", "output_density"],
+    )
+    def test_a_verdict_that_is_not_realizable_is_refused(self, operation, name, status):
+        with pytest.raises(ValueError, match=f"^{name} needs a Realizable verdict$"):
+            operation(cloning_process(), FeasibilityVerdict(status))
+
+    def test_isometry_refuses_a_gram_that_contradicts_the_spec(self):
+        # deletion's environment overlaps are all one; a hand-built verdict
+        # with G[0, 2] = 0 is not even PSD, and its dressed outputs cannot
+        # reproduce the input overlaps
+        gram = np.ones((3, 3), dtype=np.complex128)
+        gram[0, 2] = gram[2, 0] = 0.0
+        verdict = FeasibilityVerdict(REALIZABLE, completed_gram=gram)
+        with pytest.raises(RuntimeError, match="^input and dressed-output Gram matrices differ"):
+            construct_isometry(deletion_process(), verdict)
+
+    @pytest.mark.parametrize("operation", [apply_process, output_density])
+    def test_an_input_of_other_dims_is_refused(self, operation):
+        spec = cloning_process()
+        message = r"^input dims \(2,\) do not match the process \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            operation(spec, decide_feasibility(spec), ket("0"))
 
 
 class TestApplyProcess:

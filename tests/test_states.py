@@ -23,8 +23,7 @@ from qcatalysis import (
     standard_triple,
     tensor,
 )
-from qcatalysis.linalg import DimensionMismatchError, as_vector
-from qcatalysis.states import _gate
+from qcatalysis.states import DimensionMismatchError, _gate, as_vector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -92,6 +91,10 @@ class TestPureState:
         pytest.param(
             (2.9,), [1.0, 0.0], ValueError, "subsystem dimension must be an integer, got 2.9",
             "expected dimension 2.9, got 2", id="non-integer-dim",
+        ),
+        pytest.param(
+            (2, 0), [1.0, 0.0], ValueError, "subsystem dimensions must be positive, got (2, 0)",
+            "expected dimension 0, got 2", id="zero-dim",
         ),
     ]
 
@@ -176,6 +179,7 @@ class TestApplyGate:
             # refused, not truncated to subsystem 0 or to (0, 1)
             ("X", (0.9,), "^gate target must be an integer, got 0.9$"),
             ("CNOT", (0.2, 1.7), "^gate target must be an integer, got 0.2$"),
+            ("CNOT", (1, 1), r"^gate targets must be distinct, got \(1, 1\)$"),
         ],
     )
     def test_gate_spec_rejects_bad_arity(self, name, targets, message):
@@ -185,6 +189,13 @@ class TestApplyGate:
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(GateSpec("X", (1,)), ket("0"))
+
+    def test_non_qubit_target_rejected(self):
+        qutrit = PureState((3,), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(
+            ValueError, match="^gate X targets qubit subsystems, subsystem 0 has dimension 3$"
+        ):
+            apply_gate(GateSpec("X", (0,)), qutrit)
 
     def test_gate_on_middle_subsystem(self):
         state = tensor(ket("0"), ket("0"), ket("1"))
@@ -317,8 +328,16 @@ class TestSchmidtAndConcurrence:
             assert abs(concurrence(rotated) - concurrence(s)) < 1e-9
 
     def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
-            schmidt_coefficients(ket("0"), 1)
+        for bits, split in [("0", 1), ("00", 0), ("00", 2)]:
+            message = f"^split {split} does not cut {len(bits)} subsystems into two parts$"
+            for cut in (schmidt_coefficients, product_factorize):
+                with pytest.raises(ValueError, match=message):
+                    cut(ket(bits), split)
+
+    @pytest.mark.parametrize("bits", ["0", "000"])
+    def test_concurrence_needs_two_qubits(self, bits):
+        with pytest.raises(DimensionMismatchError, match="^concurrence is defined for dims"):
+            concurrence(ket(bits))
 
 
 class TestProductFactorize:
@@ -361,6 +380,10 @@ class TestFidelity:
 
     def test_minus_orthogonal_to_plus(self):
         assert fidelity(ket_minus(), ket_plus()) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mismatched_dims_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^fidelity needs matching dims"):
+            fidelity(ket("0"), ket("00"))
 
 
 class TestRandomStates:

@@ -1,0 +1,124 @@
+import ast
+import importlib.util
+import inspect
+
+import pytest
+
+import qcatalysis
+
+MODULES = ("analyzer", "process", "states", "teleport")
+
+# the package surface, in the order of qcatalysis.__all__
+PUBLIC = [
+    "BranchOutcome",
+    "CatalysisReport",
+    "Certificate",
+    "DEFAULT_TOL",
+    "DeletionFamilyPoint",
+    "DensityMatrix",
+    "DependentBasisError",
+    "DimensionMismatchError",
+    "EntangledStateError",
+    "EnvironmentGram",
+    "EnvironmentsDifferError",
+    "FeasibilityVerdict",
+    "GateSpec",
+    "INFEASIBLE",
+    "MAX_DIM",
+    "NONLOCAL_CNOT_LEDGER",
+    "NOT_CATALYSIS",
+    "NO_WITNESS_FOUND",
+    "OutsideSpanError",
+    "ProcessSpec",
+    "PureState",
+    "QUANTUM_CATALYSIS",
+    "REALIZABLE",
+    "ResourceLedger",
+    "TELEPORT_LEDGER",
+    "UNDETERMINED",
+    "WitnessRecord",
+    "apply_gate",
+    "apply_process",
+    "bell_pair",
+    "catalyst_intact",
+    "circular_pair_input",
+    "classify",
+    "cloning_process",
+    "complete_psd",
+    "concurrence",
+    "construct_isometry",
+    "decide_feasibility",
+    "deletion_family_sweep",
+    "deletion_process",
+    "deletion_residue",
+    "environment_gram",
+    "environment_vectors",
+    "fidelity",
+    "find_entangling_witness",
+    "inner",
+    "ket",
+    "ket_minus",
+    "ket_plus",
+    "nonlocal_cnot",
+    "output_density",
+    "phase_aligned_distance",
+    "product_factorize",
+    "random_state",
+    "random_states",
+    "schmidt_coefficients",
+    "standard_triple",
+    "teleport",
+    "tensor",
+    "uninformed_cloning_process",
+]
+
+
+def _modules():
+    return [importlib.import_module(f"qcatalysis.{name}") for name in MODULES]
+
+
+def test_package_surface_is_pinned():
+    assert qcatalysis.__all__ == PUBLIC
+
+
+def test_wildcard_import_binds_the_surface():
+    namespace = {}
+    exec("from qcatalysis import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(PUBLIC)
+    assert all(namespace[name] is getattr(qcatalysis, name) for name in PUBLIC)
+
+
+def _top_level_bindings(module) -> set[str]:
+    """Names a module binds itself: its top-level defs, classes and assignments."""
+    bound = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+    return bound
+
+
+def test_each_name_is_declared_once_in_the_module_that_defines_it():
+    owners = {}
+    for module in _modules():
+        bound = _top_level_bindings(module)
+        for name in module.__all__:
+            assert name not in owners, (name, owners.get(name), module.__name__)
+            owners[name] = module.__name__
+            assert name in bound, f"{module.__name__} lists {name} but does not define it"
+            assert getattr(qcatalysis, name) is getattr(module, name)
+    assert sorted(owners) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", ["as_vector", "PairIntactness"])
+def test_private_helpers_stay_off_the_surface(name):
+    assert name not in qcatalysis.__all__
+    assert not hasattr(qcatalysis, name)
+
+
+def test_linalg_module_is_gone():
+    assert importlib.util.find_spec("qcatalysis.linalg") is None

@@ -118,6 +118,11 @@ class TestTeleport:
 
 
 class TestNonlocalCnot:
+    def test_rejects_one_qubit_input(self):
+        message = r"^nonlocal_cnot expects two qubits, got dims \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            nonlocal_cnot(ket("0"))
+
     def test_plus_zero_becomes_bell_in_every_branch(self):
         branches, ledger = nonlocal_cnot(tensor(ket_plus(), ket("0")))
         assert len(branches) == 4
