@@ -567,10 +567,7 @@ def parse_process_spec(data, tol: float = DEFAULT_TOL) -> ProcessSpec:
         pairs.append(
             (PureState((dim_a, dim_b), vin), PureState((dim_a, dim_b), vout))
         )
-    try:
-        return ProcessSpec(dim_a, dim_b, tuple(pairs))
-    except ValueError as exc:
-        raise SpecFileError("pairs", str(exc)) from exc
+    return ProcessSpec(dim_a, dim_b, tuple(pairs))
 
 
 def load_process_spec(path, tol: float = DEFAULT_TOL) -> ProcessSpec:

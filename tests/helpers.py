@@ -1,7 +1,12 @@
-"""Shared random generators and independent oracles for the test suite."""
+"""Shared random generators, independent oracles and a fresh-interpreter
+runner for the test suite."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +23,28 @@ from qcatalysis import (
 from qcatalysis import analyzer
 from qcatalysis.cli import _PROTOCOL_INPUTS
 from qcatalysis.teleport import _nonlocal_cnot_rows, _teleport_rows
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the default JSON and text report of every scenario, and of check on four
+# saved spec files, as committed; regenerate a file only for a deliberate
+# change of the report
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+def golden_report(name: str, fmt: str) -> bytes:
+    """The committed ``fmt`` ("json" or "text") report named ``name``."""
+    return (GOLDEN_REPORTS / f"{name}.{'txt' if fmt == 'text' else fmt}").read_bytes()
+
+
+def run_fresh_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from
+    ``src``, with its stdout buffered as a user's is, and a 120-s timeout;
+    ``kwargs`` go to ``subprocess.run``."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -113,9 +113,19 @@ class TestWitnessSearch:
         assert w.concurrence_out == pytest.approx(1.0)
 
     def test_identity_process_has_no_witness(self):
+        import qcatalysis.analyzer as analyzer
+
         spec = identity_process()
         verdict = decide_feasibility(spec)
         assert find_entangling_witness(spec, verdict) is None
+        # on |00> and (|01> + |10>)/sqrt(2) the rank-2 quadratic has
+        # q0 = q1 = 0: a double root at x = (1, 0), whose zero-length
+        # twin is skipped, leaves |00> as the one product candidate
+        pair = PureState((2, 2), np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0))
+        spec = ProcessSpec(2, 2, ((ket("00"), ket("00")), (pair, pair)))
+        (candidate,) = analyzer._stage_candidates_2x2(spec)
+        assert phase_aligned_distance(candidate, ket("00").vector) < 1e-12
+        assert find_entangling_witness(spec, decide_feasibility(spec)) is None
 
     def test_differing_environments_refuse_search(self):
         from qcatalysis import EnvironmentsDifferError

@@ -13,8 +13,10 @@ import pytest
 
 from helpers import (
     chordal_spec,
+    golden_report,
     near_dependent_identity_spec,
     random_realizable_spec,
+    run_fresh_python,
     trace_out_environment,
     undetermined_cycle_spec,
 )
@@ -48,8 +50,6 @@ from qcatalysis.cli import (
     run_scenario,
     save_process_spec,
 )
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 IDENTITY_FILE = {
     "version": 1,
@@ -86,11 +86,6 @@ CLASSIFICATION_FIELDS = (
     "bob_alone_impossible",
     "witnesses",
 )
-
-# the default JSON and text report of every scenario, as committed; regenerate
-# a file only for a deliberate change of the report
-GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
-GOLDEN_SUFFIX = {"json": "json", "text": "txt"}
 
 
 def write_json(tmp_path, name, payload):
@@ -169,7 +164,7 @@ class TestEmission:
     )
     def test_json_matches_golden_report(self, name, fmt):
         payload = emit_report(run_scenario(name, RunConfig(format=fmt))[0], fmt)
-        assert payload == (GOLDEN_REPORTS / f"{name}.{GOLDEN_SUFFIX[fmt]}").read_bytes()
+        assert payload == golden_report(name, fmt)
 
     def test_unit_concurrence_fixed_format(self):
         doc, _ = run_scenario("cloning", RunConfig())
@@ -185,6 +180,9 @@ class TestEmission:
     def test_unknown_format_rejected(self):
         with pytest.raises(UsageError):
             emit_report({"schema_version": "1.0"}, "yaml")
+        # nor does it render a value of a type that JSON has no form for
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            emit_report({"x": object()}, "json")
 
 
 class TestSpecFiles:
@@ -240,8 +238,7 @@ class TestSpecFiles:
         monkeypatch.chdir(tmp_path)
         doc, code = check_spec_file(name, RunConfig(format=fmt))
         assert code == EXIT_PASS
-        golden = (GOLDEN_REPORTS / f"rotated-deletion-3.{GOLDEN_SUFFIX[fmt]}").read_bytes()
-        assert emit_report(doc, fmt) == golden
+        assert emit_report(doc, fmt) == golden_report("rotated-deletion-3", fmt)
 
     @pytest.mark.parametrize(
         "name,realizable,fmt",
@@ -268,8 +265,7 @@ class TestSpecFiles:
         monkeypatch.chdir(tmp_path)
         doc, code = check_spec_file(f"{name}.spec.json", RunConfig(format=fmt))
         assert code == EXIT_NEGATIVE
-        golden = (GOLDEN_REPORTS / f"{name}.{GOLDEN_SUFFIX[fmt]}").read_bytes()
-        assert emit_report(doc, fmt) == golden
+        assert emit_report(doc, fmt) == golden_report(name, fmt)
 
     def test_deletion_round_trip(self, tmp_path):
         path = tmp_path / "deletion.json"
@@ -341,6 +337,7 @@ class TestSpecFiles:
         # the 12 decimals of a saved file move a norm by about 1e-12, which a
         # tighter --tolerance must not reject as unnormalized
         specs = [cloning_process(), deletion_process(), chordal_spec(0), chordal_spec(0, False)]
+        specs.append(chordal_spec(0, True, rank_one=True))
         specs.append(random_realizable_spec(np.random.default_rng(7))[0])
         for k, spec in enumerate(specs):
             path = tmp_path / f"spec{k}.json"
@@ -458,9 +455,6 @@ class TestMainEntryPoint:
     def test_unwritable_stdout_exits_73_in_a_fresh_interpreter(self, where):
         # a buffered stdout keeps the unwritten report; unless main drops it,
         # the interpreter's own flush at exit fails again and exits 120
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
         if where == "full-disk":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
@@ -471,18 +465,27 @@ class TestMainEntryPoint:
             os.close(read_end)
             reason = os.strerror(errno.EPIPE)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "qcatalysis.cli", "run", "cloning"],
+            result = run_fresh_python(
+                ["-m", "qcatalysis.cli", "run", "cloning"],
                 stdout=stdout,
                 stderr=subprocess.PIPE,
-                env=env,
                 text=True,
-                timeout=120,
             )
         finally:
             os.close(stdout)
         assert result.returncode == EXIT_CANTCREAT, result.stderr
         assert result.stderr == f"qcatalysis: cannot write report to stdout: {reason}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("seed", [1, 2**32])
+    @pytest.mark.parametrize("name", ["teleport", "nonlocal-cnot"])
+    def test_protocols_pass_at_other_seeds(self, name, seed, fmt, tmp_path):
+        # the goldens pin the protocols at seed 0 only; at other seeds, one
+        # past 2**32 among them, the gate kernels must still pass the
+        # scenario's own assertions
+        out = tmp_path / "report"
+        argv = ["run", name, "--seed", str(seed), "--format", fmt, "--output", str(out)]
+        assert main(argv) == EXIT_PASS
 
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE

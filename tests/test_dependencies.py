@@ -5,22 +5,11 @@ No scipy module is needed or loaded, and no verdict loads the
 line loads ``logging`` only on its internal-error path.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from helpers import run_fresh_python
+
 TESTS = str(Path(__file__).resolve().parent)
-
-
-def run_python(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    paths = (SRC, env.get("PYTHONPATH"))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 def test_runs_with_scipy_blocked():
@@ -33,7 +22,7 @@ def test_runs_with_scipy_blocked():
         "qcatalysis.classify(qcatalysis.deletion_process())\n"
         "sys.exit(cli.main(['run', 'deletion-sweep']))\n"
     )
-    result = run_python(code)
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
@@ -43,7 +32,7 @@ def test_import_loads_no_scipy():
         "import qcatalysis\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
-    result = run_python(code)
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -62,7 +51,7 @@ def test_verdicts_load_no_scan_kernels():
         "assert cli.main(['run', 'cloning', '--output', os.devnull]) == 0\n"
         "print('qcatalysis._kernels' in sys.modules)\n"
     )
-    result = run_python(code)
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -82,7 +71,7 @@ def test_scan_tables_are_built_on_the_first_scan():
         "info = analyzer._scan_tables.cache_info()\n"
         "print(info.misses, info.currsize)\n"
     )
-    result = run_python(code)
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "1", "1"]
 
@@ -97,6 +86,6 @@ def test_cli_loads_logging_only_for_an_internal_error():
         "assert cli.main(['run', 'cloning']) == 0\n"
         "print(loaded, 'logging' in sys.modules)\n"
     )
-    result = run_python(code)
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False False"

@@ -122,6 +122,7 @@ class TestPureState:
         s = PureState((2, 2), raw)
         v = as_vector(raw)
         raw[...] = 0.0
+        assert s.dim == 4
         np.testing.assert_array_equal(s.vector, expected)
         np.testing.assert_array_equal(v, expected)
         assert not s.vector.flags.writeable
