@@ -131,14 +131,15 @@ class DeletionFamilyPoint:
     out_concurrence: float | None
 
 
+def _catalysed(bob_in, bob_out) -> ProcessSpec:
+    """Bob's task s_i -> r_i beside Alice's target t_i: t_i s_i -> t_i r_i."""
+    triples = zip(standard_triple("target"), bob_in, bob_out, strict=True)
+    return ProcessSpec(2, 2, tuple((tensor(t, s), tensor(t, r)) for t, s, r in triples))
+
+
 def cloning_process() -> ProcessSpec:
     """Copy Alice's target state onto Bob: a_i = t_i s_i -> t_i t_i."""
-    source = standard_triple("source")
-    target = standard_triple("target")
-    pairs = tuple(
-        (tensor(t, s), tensor(t, t)) for t, s in zip(target, source)
-    )
-    return ProcessSpec(2, 2, pairs)
+    return _catalysed(standard_triple("source"), standard_triple("target"))
 
 
 def uninformed_cloning_process() -> ProcessSpec:
@@ -149,9 +150,7 @@ def uninformed_cloning_process() -> ProcessSpec:
     inputs are dependent (|+>|0> is a combination of the first two), which
     the overlap-ratio argument never reads.
     """
-    target = standard_triple("target")
-    pairs = tuple((tensor(t, ket("0")), tensor(t, t)) for t in target)
-    return ProcessSpec(2, 2, pairs)
+    return _catalysed((ket("0"),) * 3, standard_triple("target"))
 
 
 def deletion_process(
@@ -162,13 +161,9 @@ def deletion_process(
     The default residues are the source family, making this the exact
     inverse of the cloning process.
     """
-    target = standard_triple("target")
     if residues is None:
         residues = standard_triple("source")
-    pairs = tuple(
-        (tensor(t, t), tensor(t, r)) for t, r in zip(target, residues)
-    )
-    return ProcessSpec(2, 2, pairs)
+    return _catalysed(standard_triple("target"), residues)
 
 
 def deletion_residue(angle: float) -> PureState:

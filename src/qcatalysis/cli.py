@@ -40,7 +40,6 @@ from .states import (
     ket_plus,
     phase_aligned_distance,
     random_states,
-    standard_triple,
     tensor,
 )
 from .teleport import NONLOCAL_CNOT_LEDGER, TELEPORT_LEDGER, nonlocal_cnot, teleport
@@ -110,41 +109,26 @@ def _fmt(x: float) -> str:
     return "0.000000000000" if s == "-0.000000000000" else s
 
 
-def _render(value, parts: list[str]) -> None:
+def _render(value) -> str:
     if value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        parts.append(_fmt(value))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _render(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(",")
-            _render(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_render(value[k])}" for k in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_render, value)) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _json_bytes(doc: dict) -> bytes:
-    parts: list[str] = []
-    _render(doc, parts)
-    return ("".join(parts) + "\n").encode("utf-8")
+    return (_render(doc) + "\n").encode("utf-8")
 
 
 def _json_value(value):
@@ -304,30 +288,45 @@ def _isometry_checks(spec: ProcessSpec, report: CatalysisReport, tol: float):
     return unitary, not np.any(weights < 1.0 - 1e-12), r
 
 
+def _catalysis_checks(report: CatalysisReport) -> list[tuple[str, bool]]:
+    return [
+        ("verdict_realizable", report.verdict.is_realizable),
+        ("environment_gram_all_ones", report.coherence_preserving),
+        ("catalyst_intact_all_pairs", report.catalyst_intact),
+    ]
+
+
+def _witness_checks(
+    report: CatalysisReport, input_check: str, expected_in: PureState, expected_out=None
+) -> list[tuple[str, bool]]:
+    """The witness is found, at ``expected_in`` (the check ``input_check``),
+    at ``expected_out`` when one is given, separable and maximally entangled."""
+    w = report.witness
+    found = w is not None
+    checks = [
+        ("witness_found", found),
+        (input_check, found and phase_aligned_distance(w.input.vector, expected_in.vector) <= 1e-9),
+    ]
+    if expected_out is not None:
+        out_ok = found and phase_aligned_distance(w.output.vector, expected_out.vector) <= 1e-9
+        checks.append(("witness_output_expected_pair", out_ok))
+    return checks + [
+        ("witness_input_separable", found and w.concurrence_in <= 1e-9),
+        ("witness_output_maximally_entangled", found and abs(w.concurrence_out - 1.0) <= 1e-9),
+    ]
+
+
 def _scenario_cloning(config: RunConfig) -> tuple[dict, int]:
     tol = config.tolerance
     spec = cloning_process()
     report = classify(spec, tol)
     unitary, pairs_ok, env_dim = _isometry_checks(spec, report, tol)
-    w = report.witness
     plus_zero = tensor(ket_plus(), ket("0"))
     checks = [
-        ("verdict_realizable", report.verdict.is_realizable),
-        ("environment_gram_all_ones", report.coherence_preserving),
-        ("catalyst_intact_all_pairs", report.catalyst_intact),
+        *_catalysis_checks(report),
         ("isometry_unitary", unitary),
         ("isometry_reproduces_pairs", pairs_ok),
-        ("witness_found", w is not None),
-        (
-            "witness_input_plus_zero",
-            w is not None
-            and phase_aligned_distance(w.input.vector, plus_zero.vector) <= 1e-9,
-        ),
-        ("witness_input_separable", w is not None and w.concurrence_in <= 1e-9),
-        (
-            "witness_output_maximally_entangled",
-            w is not None and abs(w.concurrence_out - 1.0) <= 1e-9,
-        ),
+        *_witness_checks(report, "witness_input_plus_zero", plus_zero),
         ("bob_alone_impossible", report.bob_alone_impossible),
     ]
     return _finish(_doc("cloning", config, report, environment_dimension=env_dim), checks)
@@ -337,30 +336,10 @@ def _scenario_deletion(config: RunConfig) -> tuple[dict, int]:
     tol = config.tolerance
     spec = deletion_process()
     report = classify(spec, tol)
-    w = report.witness
-    probe = circular_pair_input()
     expected_out = PureState((2, 2), np.array([0.5, 0.5j, -0.5, 0.5j]))
-    checks = [
-        ("verdict_realizable", report.verdict.is_realizable),
-        ("environment_gram_all_ones", report.coherence_preserving),
-        ("catalyst_intact_all_pairs", report.catalyst_intact),
-        ("witness_found", w is not None),
-        (
-            "witness_input_circular_pair",
-            w is not None
-            and phase_aligned_distance(w.input.vector, probe.vector) <= 1e-9,
-        ),
-        (
-            "witness_output_expected_pair",
-            w is not None
-            and phase_aligned_distance(w.output.vector, expected_out.vector) <= 1e-9,
-        ),
-        ("witness_input_separable", w is not None and w.concurrence_in <= 1e-9),
-        (
-            "witness_output_maximally_entangled",
-            w is not None and abs(w.concurrence_out - 1.0) <= 1e-9,
-        ),
-    ]
+    checks = _catalysis_checks(report) + _witness_checks(
+        report, "witness_input_circular_pair", circular_pair_input(), expected_out
+    )
     return _finish(_doc("deletion", config, report), checks)
 
 
@@ -461,12 +440,9 @@ def _scenario_teleport(config: RunConfig) -> tuple[dict, int]:
 
 
 def _scenario_nonlocal_cnot(config: RunConfig) -> tuple[dict, int]:
-    # the standard pairs t (x) s follow the drawn inputs; CNOT copies each
-    # t onto s, so the same permutation gives their targets t (x) t
-    standard = [
-        tensor(t, s).vector
-        for t, s in zip(standard_triple("target"), standard_triple("source"))
-    ]
+    # cloning's inputs t (x) s follow the drawn inputs; CNOT copies each t
+    # onto s, so the same permutation gives their targets t (x) t
+    standard = cloning_process().input_matrix().T
     fids, probs, ledger = _protocol_figures(
         nonlocal_cnot, (2, 2), _CNOT_COLUMNS, config.seed, standard
     )

@@ -245,8 +245,13 @@ class FeasibilityVerdict:
     certificate: Certificate | None = None
 
     def __post_init__(self):
+        if self.status not in (REALIZABLE, INFEASIBLE, UNDETERMINED):
+            raise ValueError(f"unknown verdict status {self.status!r}")
         if self.status == REALIZABLE:
+            # None reads as a 0-d NaN array, refused with the rest
             g = np.asarray(self.completed_gram, dtype=np.complex128).copy()
+            if g.ndim != 2 or g.shape[0] != g.shape[1] or not np.isfinite(g).all():
+                raise ValueError("a realizable verdict needs a finite square completed_gram")
             g.setflags(write=False)
             object.__setattr__(self, "completed_gram", g)
 

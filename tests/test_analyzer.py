@@ -63,6 +63,34 @@ def _deaf_copier_process() -> ProcessSpec:
     return ProcessSpec(2, 2, pairs)
 
 
+def qubits(labels: str) -> list[PureState]:
+    return [ket_plus() if x == "+" else ket(x) for x in labels]
+
+
+class TestTasks:
+    @pytest.mark.parametrize(
+        "make, bob_in, bob_out",
+        [
+            (cloning_process, "00+", "01+"),
+            (uninformed_cloning_process, "000", "01+"),
+            (deletion_process, "01+", "00+"),
+        ],
+        ids=["cloning", "uninformed-cloning", "deletion"],
+    )
+    def test_each_task_is_bob_s_task_beside_alice_s_target(self, make, bob_in, bob_out):
+        # pair i is t_i s_i -> t_i r_i with Alice's target t_i of (|0>, |1>, |+>)
+        spec = make()
+        assert len(spec.pairs) == 3
+        for (a, b), t, s, r in zip(spec.pairs, qubits("01+"), qubits(bob_in), qubits(bob_out)):
+            assert np.array_equal(a.vector, tensor(t, s).vector)
+            assert np.array_equal(b.vector, tensor(t, r).vector)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_deletion_refuses_residues_other_than_three(self, count):
+        with pytest.raises(ValueError):
+            deletion_process((ket("0"),) * count)
+
+
 class TestCatalystIntact:
     def test_copying_keeps_all_catalysts(self):
         reports = catalyst_intact(cloning_process())

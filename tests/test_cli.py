@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     chordal_spec,
@@ -86,6 +88,34 @@ CLASSIFICATION_FIELDS = (
     "bob_alone_impossible",
     "witnesses",
 )
+
+
+# the values a report may hold, nested in dicts, lists and tuples
+KEYS = st.text(max_size=4)
+JSON_DOCS = st.dictionaries(
+    KEYS,
+    st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(),
+        lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(KEYS, inner),
+        max_leaves=12,
+    ),
+)
+
+
+def as_read_back(value):
+    """``value`` as JSON reads its report back: a float at 12 decimals, with
+    no negative zero, and a tuple as a list."""
+    if isinstance(value, float):
+        return round(value, 12) + 0.0
+    if isinstance(value, (list, tuple)):
+        return [as_read_back(x) for x in value]
+    if isinstance(value, dict):
+        return {k: as_read_back(v) for k, v in value.items()}
+    return value
 
 
 def write_json(tmp_path, name, payload):
@@ -183,6 +213,25 @@ class TestEmission:
         # nor does it render a value of a type that JSON has no form for
         with pytest.raises(TypeError, match="^cannot serialize object$"):
             emit_report({"x": object()}, "json")
+
+    @given(JSON_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_json_writer_round_trips_with_sorted_keys_and_no_whitespace(self, doc):
+        from qcatalysis.cli import _json_bytes
+
+        payload = _json_bytes(doc)
+        assert payload.endswith(b"\n")
+
+        def sorted_pairs(pairs):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+
+        read = json.loads(payload, object_pairs_hook=sorted_pairs)
+        # the dumps compare types and the sign of zero, which == does not
+        assert json.dumps(read, sort_keys=True) == json.dumps(as_read_back(doc), sort_keys=True)
+        outside_strings = re.sub(rb'"(?:[^"\\]|\\.)*"', b"", payload[:-1])
+        assert not re.search(rb"\s", outside_strings)
 
 
 class TestSpecFiles:

@@ -1,15 +1,36 @@
 """The package runs on numpy alone.
 
-No scipy module is needed or loaded, and no verdict loads the
-``_kernels`` module that only the benchmark tracer reads.  The command
-line loads ``logging`` only on its internal-error path.
+Its modules import only the standard library and numpy.  No scipy
+module is needed or loaded, and no verdict loads the ``_kernels`` module
+that only the benchmark tracer reads.  The command line loads
+``logging`` only on its internal-error path.
 """
 
+import ast
+import sys
 from pathlib import Path
 
 from helpers import run_fresh_python
 
 TESTS = str(Path(__file__).resolve().parent)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcatalysis"
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 5
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                allowed = top in ("__future__", "numpy") or top in sys.stdlib_module_names
+                assert allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_runs_with_scipy_blocked():

@@ -377,6 +377,22 @@ class TestVerdictGuards:
         with pytest.raises(RuntimeError, match="^input and dressed-output Gram matrices differ"):
             construct_isometry(deletion_process(), verdict)
 
+    @pytest.mark.parametrize(
+        "status, gram, message",
+        [
+            ("bogus", np.eye(2), "^unknown verdict status 'bogus'$"),
+            (REALIZABLE, None, "^a realizable verdict needs"),
+            (REALIZABLE, np.ones(3), "^a realizable verdict needs"),
+            (REALIZABLE, np.ones((2, 3)), "^a realizable verdict needs"),
+            (REALIZABLE, np.full((2, 2), np.nan), "^a realizable verdict needs"),
+            (REALIZABLE, np.full((2, 2), np.inf), "^a realizable verdict needs"),
+        ],
+        ids=["unknown-status", "no-gram", "1-d", "not-square", "nan", "inf"],
+    )
+    def test_a_malformed_verdict_is_refused(self, status, gram, message):
+        with pytest.raises(ValueError, match=message):
+            FeasibilityVerdict(status, completed_gram=gram)
+
     @pytest.mark.parametrize("operation", [apply_process, output_density])
     def test_an_input_of_other_dims_is_refused(self, operation):
         spec = cloning_process()
