@@ -661,6 +661,12 @@ def deletion_family_sweep(
     distinguished separable input; no witness search runs.  A point whose
     feasibility is not decided realizable has no output, and its
     ``out_concurrence`` is None.
+
+    The law: that concurrence equals |<r(u)|r(v)>| for any residue angles.
+    The input is |i>|i> = ((1-i)/2)|00> - ((1+i)/2)|11> + i|++>, so with
+    r(u) = ((1+w)|0> + (1-w)|1>)/2, w = e^{iu}, the output's 2x2 amplitude
+    matrix has determinant i(w_0 + w_1)/4, and C = 2|det| =
+    |1 + e^{i(v-u)}|/2 = |<r(u)|r(v)>|: zero exactly at orthogonal residues.
     """
     if steps < 2:
         raise ValueError("sweep needs at least 2 steps")

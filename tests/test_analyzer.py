@@ -427,6 +427,13 @@ class TestDeletionFamilySweep:
         for p in deletion_family_sweep(16):
             assert p.out_concurrence == pytest.approx(abs(p.overlap), abs=1e-12)
             assert abs(p.overlap - (1.0 + np.exp(1j * p.v)) / 2.0) < 1e-12
+        # and at both residue angles free: |<r(u)|r(v)>| for seeded (u, v)
+        rng = np.random.default_rng(2000)
+        for u, v in rng.uniform(0.0, 2.0 * math.pi, (200, 2)):
+            r0, r1 = deletion_residue(u), deletion_residue(v)
+            spec = deletion_process((r0, r1, ket_plus()))
+            out = apply_process(spec, decide_feasibility(spec), circular_pair_input())
+            assert concurrence(out) == pytest.approx(abs(inner(r0.vector, r1.vector)), abs=1e-12)
 
     def test_biconditional_and_threshold(self):
         points = deletion_family_sweep(64)

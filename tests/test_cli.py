@@ -152,6 +152,27 @@ class TestScenarios:
         doc, _ = run_scenario("deletion-sweep", RunConfig(steps=12))
         assert len(doc["sweep"]) == 12
 
+    def test_sweep_fails_when_the_concurrence_leaves_the_overlap(self, monkeypatch):
+        # halved concurrences still vanish only at orthogonal residues, so
+        # only the exact law tells them from the sweep's own
+        import dataclasses
+
+        import qcatalysis.cli as cli
+
+        sweep = cli.deletion_family_sweep
+
+        def halved(*args):
+            return [
+                dataclasses.replace(p, out_concurrence=p.out_concurrence / 2)
+                for p in sweep(*args)
+            ]
+
+        monkeypatch.setattr(cli, "deletion_family_sweep", halved)
+        doc, code = run_scenario("deletion-sweep", RunConfig())
+        assert code == EXIT_ASSERTION
+        failed = [a["name"] for a in doc["assertions"] if not a["passed"]]
+        assert failed == ["output_concurrence_equals_residue_overlap"]
+
     def test_isometry_pair_check_matches_per_pair_reference(self, monkeypatch):
         # every other unitary has its columns shuffled, so both answers occur
         import qcatalysis.cli as cli
@@ -536,6 +557,15 @@ class TestMainEntryPoint:
         argv = ["run", name, "--seed", str(seed), "--format", fmt, "--output", str(out)]
         assert main(argv) == EXIT_PASS
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("steps", [2, 3, 5, 257])
+    def test_sweep_passes_at_other_resolutions(self, steps, fmt, tmp_path):
+        # the goldens pin the sweep at 64 steps only; at an odd count no
+        # point has orthogonal residues, and the law must hold all the same
+        out = tmp_path / "report"
+        argv = ["run", "deletion-sweep", "--steps", str(steps), "--format", fmt]
+        assert main([*argv, "--output", str(out)]) == EXIT_PASS
+
     def test_run_unknown_scenario_is_usage_error(self, capsys):
         assert main(["run", "nonsense"]) == EXIT_USAGE
 
@@ -581,11 +611,7 @@ class TestMainEntryPoint:
         assert code == EXIT_ASSERTION
         assert all(p["out_concurrence"] is None for p in doc["sweep"])
         failed = {a["name"] for a in doc["assertions"] if not a["passed"]}
-        assert failed == {
-            "zero_concurrence_iff_orthogonal_residues",
-            "entangled_whenever_residues_overlap",
-            "orthogonal_residue_point_zero_concurrence",
-        }
+        assert failed == {"output_concurrence_equals_residue_overlap"}
         text = emit_report(doc, "text").decode()
         assert "sweep points without a realizable verdict: 8" in text
 
