@@ -279,26 +279,16 @@ def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
     return np.arange(n) + np.array(fib + [-f for f in fib])[order]
 
 
-def _monomial_products(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v_m v_n and conj(v_m) v_n, (9, N) each, for the monomials v of each column of xs.
-
-    v^T S v and v^H H v at every column are then S.ravel() and H.ravel()
-    times one of the two tables.
-    """
-    v = xs[_MONO_LEFT] * xs[_MONO_RIGHT]
-    return (v[:, None] * v).reshape(9, -1), (v.conj()[:, None] * v).reshape(9, -1)
-
-
 @functools.cache
-def _scan_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The spinor grid, its neighbour table and its monomial products; read-only.
+def _scan_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The spinor grid and its neighbour table; read-only.
 
     Built on the first two-qubit scan, so that a process that never scans
-    never pays for them (0.69 MB, a few ms).
+    never pays for them (0.16 MB, a few ms).
     """
     grid = _spinor_grid(_GRID_POINTS)
-    tables = (grid, _grid_neighbours(grid), _monomial_products(grid))
-    for m in (grid, tables[1], *tables[2]):
+    tables = (grid, _grid_neighbours(grid))
+    for m in tables:
         m.setflags(write=False)
     return tables
 
@@ -354,22 +344,23 @@ def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ np.linalg.solve(r, top[:k] + 1j * top[k:])
 
 
-def _scan(score, grid_scores: np.ndarray) -> np.ndarray:
+def _scan(score) -> np.ndarray:
     """Unit spinor x maximizing ``score``: grid peaks, then shrinking local grids.
 
     ``score`` maps a (2, N) batch of column spinors to N scores and does not
-    change under x -> lambda x, so no candidate is normalized; ``grid_scores``
-    are its values on the columns of the spinor grid.  The starts are the
-    grid's local maxima (no lower than their six nearest neighbours), best
-    first, at most _MAX_STARTS, refined together in one batch: each round
-    scores a 9x9 grid x + t x_perp in the tangent plane of every start and
-    moves each to its best point, the first on a tie; the next round's grid
-    spans a little more than one cell of this one.  x_perp has the norm of
-    x, so the points are carried unnormalized (their norm grows by under
-    0.2 %) and only the returned one is normalized.  The first start that
-    ends within _START_MARGIN of the best one wins.
+    change under x -> lambda x, so no candidate is normalized.  It scores the
+    spinor grid first; the starts are the grid's local maxima (no lower than
+    their six nearest neighbours), best first, at most _MAX_STARTS, refined
+    together in one batch: each round scores a 9x9 grid x + t x_perp in the
+    tangent plane of every start and moves each to its best point, the first
+    on a tie; the next round's grid spans a little more than one cell of this
+    one.  x_perp has the norm of x, so the points are carried unnormalized
+    (their norm grows by under 0.2 %) and only the returned one is
+    normalized.  The first start that ends within _START_MARGIN of the best
+    one wins.
     """
-    grid, neighbours, _ = _scan_tables()
+    grid, neighbours = _scan_tables()
+    grid_scores = score(grid)
     peaks = np.flatnonzero(grid_scores >= grid_scores[neighbours].max(axis=0))
     peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[:_MAX_STARTS]]
     x = grid[:, peaks]
@@ -396,13 +387,10 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     - rank 4: every y is admissible; x is scanned and the best y at each x
       is the top Takagi vector of the output determinant form.
     - rank 3, complement vector w entangled: y(x) is unique for every x,
-      and x is scanned.  The image of x (x) y(x) is linear in the monomials
-      v = (x0^2, x0 x1, x1^2), so its concurrence is the ratio
-      |v^T S v| / v^H H v of two quadratic forms built once per call: S
-      from the determinant form and H from the output norm.  The ratio does
-      not change under x -> lambda x, so no candidate is normalized and no
-      output vector is formed; on the grid it is two matrix-vector products
-      with the scan's table of monomial products.
+      and x is scanned.  The image of x (x) y(x) is o = mono @ v, linear in
+      the monomials v = (x0^2, x0 x1, x1^2) through a 4x3 map built once
+      per call, and x scores the concurrence 2|o0 o3 - o1 o2| / |o|^2 of
+      that image, which does not change under x -> lambda x.
     - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
       w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
       lines are solved exactly.
@@ -433,7 +421,7 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
             out = (xs.T @ columns).reshape(-1, 4, 2)
             return _image_scores(out[..., 0], out[..., 1])
 
-        x = _scan(score, score(_scan_tables()[0]))
+        x = _scan(score)
         return [_best_in_span(image, np.kron(x[:, None], eye))]
     if rank == 3:
         wm = u[:, 3].reshape(2, 2)
@@ -448,23 +436,15 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
             ]
         # y(x) = x @ follow spans the null space of w^H (x (x) I) = x @ conj(wm)
         follow = wm.conj() @ np.array([[0.0, -1.0], [1.0, 0.0]])
-        # image(x (x) y(x)) = sum_ac x_a x_c quad[:, a, c], by monomial
+        # image(x (x) y(x)) = sum_ac x_a x_c quad[:, a, c] = mono @ v
         quad = image.reshape(4, 2, 2) @ follow.T
-        mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]])
-        # the output concurrence |v^T S v| / v^H H v on the monomials v of x
-        s = _det_form(mono[:, None, :], mono[None, :, :])
-        h = mono.conj() @ mono.T
-        forms = np.vstack([s, h])
+        mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]], axis=1)
 
         def score(xs):
-            v = xs[_MONO_LEFT] * xs[_MONO_RIGHT]
-            # r = (v^T S v, v^H H v) per column
-            r = (np.concatenate([v, v.conj()]) * (forms @ v)).reshape(2, 3, -1).sum(axis=1)
-            return np.abs(r[0]) / np.maximum(r[1].real, 1e-300)
+            o = mono @ (xs[_MONO_LEFT] * xs[_MONO_RIGHT])
+            return 2.0 * np.abs(o[0] * o[3] - o[1] * o[2]) / np.maximum(np.sum(np.abs(o) ** 2, axis=0), 1e-300)
 
-        products = _scan_tables()[2]
-        num, den = s.ravel() @ products[0], h.ravel() @ products[1]
-        x = _scan(score, np.abs(num) / np.maximum(den.real, 1e-300))
+        x = _scan(score)
         return [np.outer(x, x @ follow).ravel()]
     # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
     r0, r1 = u[:, 2:].conj().T.reshape(2, 2, 2).transpose(1, 0, 2)

@@ -573,7 +573,8 @@ def apply_process(
     Valid only when all environment overlaps equal one: the environment
     then decouples and the process acts linearly, sending sum_i c_i a_i
     to sum_i c_i b_i, with c = A^+ v from the spec's ``span_map``.  ``tol``
-    bounds only the residual |v - A c| (OutsideSpanError), never independence.
+    bounds the residual |v - A c| (OutsideSpanError), never independence, and
+    an image of norm at most ``tol`` has no output state (ValueError).
     """
     if not verdict.is_realizable:
         raise ValueError("apply_process needs a Realizable verdict")
@@ -581,8 +582,10 @@ def apply_process(
         raise EnvironmentsDifferError()
     coeff = _expand_input(spec, state, tol)
     out = spec.output_matrix() @ coeff
-    out = out / np.linalg.norm(out)
-    return PureState((spec.dim_a, spec.dim_b), out)
+    norm = np.linalg.norm(out)
+    if norm <= tol:
+        raise ValueError(f"the input's image vanishes within tolerance (norm {norm:.3e})")
+    return PureState((spec.dim_a, spec.dim_b), out / norm)
 
 
 def output_density(

@@ -313,6 +313,24 @@ def near_dependent_identity_spec() -> ProcessSpec:
     return ProcessSpec(2, 2, tuple((a, a) for a in inputs))
 
 
+def controlled_unitary_spec(seed: int) -> ProcessSpec:
+    """Four pairs |k> (x) s_kj -> |k> (x) U_k s_kj on two qubits, k, j in {0, 1}.
+
+    U_0 = I, and U_1 and the unit B states s_kj are drawn from ``seed``.  The
+    A factor is returned untouched and every overlap is kept, so the process
+    is a coherent catalysis; the four inputs span the whole space, so only
+    the rank-4 scan of the product-vector stage reaches its best witness.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k, u in enumerate((np.eye(2), random_unitary(rng, 2))):
+        for _ in range(2):
+            s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            s /= np.linalg.norm(s)
+            pairs.append(tuple(PureState((2, 2), np.kron(np.eye(2)[k], t)) for t in (s, u @ s)))
+    return ProcessSpec(2, 2, tuple(pairs))
+
+
 def undetermined_cycle_spec() -> ProcessSpec:
     """Five pairs on 2x3 whose nonzero overlaps form a 5-cycle, with one
     forced environment overlap 1/2: not coherent, not chordal, and no exact

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     chordal_spec,
+    controlled_unitary_spec,
     golden_report,
     near_dependent_identity_spec,
     random_realizable_spec,
@@ -309,6 +310,17 @@ class TestSpecFiles:
         doc, code = check_spec_file(name, RunConfig(format=fmt))
         assert code == EXIT_PASS
         assert emit_report(doc, fmt) == golden_report("rotated-deletion-3", fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_check_controlled_unitary_file_matches_golden_report(self, fmt, tmp_path, monkeypatch):
+        # four inputs span the two qubits, so the rank-4 scan decides this
+        # witness; the canonical stage's best is only about 0.71
+        name = "controlled-unitary.spec.json"
+        save_process_spec(controlled_unitary_spec(4), tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        doc, code = check_spec_file(name, RunConfig(format=fmt))
+        assert code == EXIT_PASS
+        assert emit_report(doc, fmt) == golden_report("controlled-unitary", fmt)
 
     @pytest.mark.parametrize(
         "name,realizable,fmt",

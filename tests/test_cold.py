@@ -7,7 +7,7 @@ the module is started as a user starts it, so its import from ``src``, its
 
 import pytest
 
-from helpers import chordal_spec, golden_report, run_fresh_python
+from helpers import chordal_spec, controlled_unitary_spec, golden_report, run_fresh_python
 from qcatalysis.cli import EXIT_NEGATIVE, EXIT_PASS, SCENARIOS, save_process_spec
 from test_witness_search import rotated_deletion_spec
 
@@ -16,6 +16,7 @@ FORMATS = ("json", "text")
 # the golden of check on each saved spec file: its spec and check's exit code
 CHECKED = {
     "rotated-deletion-3": (lambda: rotated_deletion_spec(3), EXIT_PASS),
+    "controlled-unitary": (lambda: controlled_unitary_spec(4), EXIT_PASS),
     "chordal-fill-4": (lambda: chordal_spec(0, True), EXIT_NEGATIVE),
     "chordal-rank-one": (lambda: chordal_spec(0, True, rank_one=True), EXIT_NEGATIVE),
     "chordal-psd-violation": (lambda: chordal_spec(0, False), EXIT_NEGATIVE),
