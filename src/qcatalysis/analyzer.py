@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import (
-    DependentBasisError,
     EnvironmentsDifferError,
     FeasibilityVerdict,
     ProcessSpec,
@@ -403,11 +402,11 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     input is the top Takagi vector of the output determinant form.  Every
     candidate is a product vector up to rounding; only the scans maximize
     over a continuous family, from every local maximum of a grid, to the
-    grid's resolution.  The inputs are independent, so the rank is n, and
-    the columns of the spec's ``span_basis`` after the first n are W.
+    grid's resolution.  The rank is the spec's ``rank``, the number of kept
+    inputs, and the columns of its ``span_basis`` after the first rank are W.
     """
     u = spec.span_basis
-    rank = spec.n
+    rank = spec.rank
     if rank == 1:
         return [u[:, 0]]
     # span vector -> output: B A^+
@@ -533,11 +532,12 @@ def find_entangling_witness(
 ) -> WitnessRecord | None:
     """Search for a separable input mapped to an entangled output.
 
-    The independence rule and the span map live on ProcessSpec: a family
-    whose inputs are dependent raises DependentBasisError, whatever ``tol``.
+    The span lives on ProcessSpec, built on its earliest independent inputs
+    whatever ``tol``, so a dependent family is searched like any other.
     Every stage expands its candidates over the inputs through the spec's
-    one map, its ``span_map`` A^+ = R^-1 Q_1^H; ``tol`` loosens only the
-    residual below which a named state counts as inside the span.
+    one map, its ``span_map`` A^+ = R^-1 Q_1^H, and a witness's coefficients
+    sit on the kept inputs; ``tol`` loosens only the residual below which a
+    named state counts as inside the span.
 
     Two stages run in a fixed order.  The canonical stage tries uniform
     pairwise superpositions of the specified inputs and, on two qubits, the
@@ -562,7 +562,7 @@ def find_entangling_witness(
         if (spec.dim_a, spec.dim_b) == (2, 2):
             inputs = _stage_candidates_2x2(spec)
         else:
-            q = spec.span_basis[:, : spec.n]
+            q = spec.span_basis[:, : spec.rank]
             inputs = _stage_candidates_projected(spec, q @ q.conj().T)
         inputs = np.array(inputs, dtype=np.complex128).reshape(-1, span_map.shape[1])
         found = _stage_best(spec, inputs @ span_map.T)
@@ -580,9 +580,8 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     Infeasible or undetermined feasibility, or a disturbed catalyst, gives
     NotCatalysis with the reason.  Otherwise a witness search runs when
     the environment overlaps are all one; absence of a witness is reported
-    as such and never promoted to a claim of classical catalysis.  A spec
-    with dependent inputs gets no witness search: it is reported as
-    no_entangling_witness_found with a reason naming those inputs.
+    as such and never promoted to a claim of classical catalysis, and
+    carries no reason.  Dependent inputs are searched like independent ones.
     """
     verdict = decide_feasibility(spec, tol)
     pair_reports, bob_flag = _catalyst_checks(spec, tol)
@@ -604,10 +603,7 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
         classification = NOT_CATALYSIS
         reason = f"catalyst disturbed at pair {first_bad}"
     elif coherent:
-        try:
-            witness = find_entangling_witness(spec, verdict, tol)
-        except DependentBasisError as exc:
-            reason = f"no witness search: {exc}"
+        witness = find_entangling_witness(spec, verdict, tol)
         classification = QUANTUM_CATALYSIS if witness is not None else NO_WITNESS_FOUND
     else:
         classification = NO_WITNESS_FOUND

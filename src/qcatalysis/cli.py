@@ -524,6 +524,8 @@ def parse_process_spec(data, tol: float = DEFAULT_TOL) -> ProcessSpec:
     raw_pairs = data.get("pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SpecFileError("pairs", "must be a nonempty list")
+    if len(raw_pairs) > MAX_DIM:
+        raise SpecFileError("pairs", f"{len(raw_pairs)} pairs exceed the cap of {MAX_DIM}")
     pairs = []
     for i, item in enumerate(raw_pairs):
         if not isinstance(item, dict) or "in" not in item or "out" not in item:

@@ -12,8 +12,8 @@ so feasibility reduces to completing the partially determined matrix of
 environment overlaps to a positive semidefinite Gram matrix with unit
 diagonal.  This module builds that matrix, decides completability, and
 when the answer is yes constructs an explicit isometry and applies the
-process to superposition inputs.  ``DependentBasisError`` lives here too,
-beside ``ProcessSpec``'s span, its only raiser.
+process to superposition inputs.  Every family has a span, dependent ones
+included: ``ProcessSpec`` builds it on its earliest independent inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "UNDETERMINED",
     "Certificate",
     "DensityMatrix",
-    "DependentBasisError",
     "EnvironmentGram",
     "EnvironmentsDifferError",
     "FeasibilityVerdict",
@@ -46,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import DEFAULT_TOL, PureState, _index, _own
+from .states import DEFAULT_TOL, MAX_DIM, PureState, _index, _own
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -58,28 +57,6 @@ REASON_PSD = "psd_violation"
 REASON_CYCLE = "cycle_violation"
 
 _RANK_CUTOFF = 1e-9
-
-
-class DependentBasisError(ValueError):
-    """Inputs that should be linearly independent are not.
-
-    Carries ``min_gram_eigenvalue``, the smallest eigenvalue of the input
-    Gram matrix, as the evidence of (near-)dependence, and ``dependent``,
-    the indices of the inputs its eigenvector involves.  The message shows
-    an eigenvalue within n * eps of zero, rounding noise for the n unit
-    inputs, as zero.
-    """
-
-    def __init__(self, min_gram_eigenvalue: float, dependent: tuple[int, ...], n: int):
-        self.min_gram_eigenvalue = float(min_gram_eigenvalue)
-        self.dependent = dependent
-        shown = self.min_gram_eigenvalue
-        if abs(shown) <= n * np.finfo(float).eps:
-            shown = 0.0
-        super().__init__(
-            f"inputs {', '.join(map(str, dependent))} are linearly dependent "
-            f"within tolerance (smallest Gram eigenvalue {shown:.3e})"
-        )
 
 
 class OutsideSpanError(ValueError):
@@ -110,12 +87,13 @@ class ProcessSpec:
 
     The input and output matrices A and B (one column per pair) and their
     Gram matrices A^H A and B^H B are built once, read-only, and every layer
-    reads them from here.  Any family is a spec: feasibility reads only the
-    Gram matrices, never the span.  The spec also owns the span of its inputs
-    and its one independence rule, which fires where the span is first
-    needed: a smallest input Gram eigenvalue at or below DEFAULT_TOL raises
-    DependentBasisError, whatever tolerance that call is given.  On an
-    independent family the check and one complete QR A = QR run once, cached.
+    reads them from here.  Any family of at most MAX_DIM pairs is a spec:
+    feasibility reads only the Gram matrices, never the span.  The span is
+    built where first needed, cached, on the earliest independent inputs:
+    input i is kept when the Gram matrix of i and the inputs kept before it
+    has its smallest eigenvalue above DEFAULT_TOL, whatever tolerance a call
+    is given.  An independent family keeps every input after one eigenvalue
+    check of its whole Gram matrix; only one that fails it walks its inputs.
     """
 
     dim_a: int
@@ -126,6 +104,8 @@ class ProcessSpec:
         pairs = tuple((a, b) for a, b in self.pairs)
         if not pairs:
             raise ValueError("a process needs at least one (input, output) pair")
+        if len(pairs) > MAX_DIM:
+            raise ValueError(f"{len(pairs)} pairs exceed the cap of {MAX_DIM}")
         want = (_index(self.dim_a, "dim_a"), _index(self.dim_b, "dim_b"))
         for idx, (a, b) in enumerate(pairs):
             for which, s in (("input", a), ("output", b)):
@@ -160,27 +140,35 @@ class ProcessSpec:
         return arrays
 
     @cached_property
-    def _span(self) -> tuple[np.ndarray, np.ndarray]:
+    def _span(self) -> tuple[np.ndarray, np.ndarray, int]:
         a, _, g_in, _ = self._arrays
-        eigs, vecs = np.linalg.eigh(g_in)
-        if eigs[0] <= DEFAULT_TOL:
-            # the inputs that the near-null combination involves
-            involved = np.flatnonzero(abs(vecs[:, 0]) > DEFAULT_TOL)
-            raise DependentBasisError(eigs[0], tuple(involved.tolist()), self.n)
-        q, r = np.linalg.qr(a, mode="complete")
-        span_map = np.linalg.solve(r[: self.n], q[:, : self.n].conj().T)
+        kept = list(range(self.n))
+        if np.linalg.eigvalsh(g_in)[0] <= DEFAULT_TOL:
+            kept = []
+            for i in range(self.n):
+                if np.linalg.eigvalsh(g_in[np.ix_(kept + [i], kept + [i])])[0] > DEFAULT_TOL:
+                    kept.append(i)
+        rank = len(kept)
+        q, r = np.linalg.qr(a[:, kept], mode="complete")
+        span_map = np.zeros((self.n, a.shape[0]), dtype=np.complex128)
+        span_map[kept] = np.linalg.solve(r[:rank], q[:, :rank].conj().T)
         q.setflags(write=False)
         span_map.setflags(write=False)
-        return q, span_map
+        return q, span_map, rank
+
+    @property
+    def rank(self) -> int:
+        """Number of inputs the span keeps, the dimension of their span."""
+        return self._span[2]
 
     @property
     def span_basis(self) -> np.ndarray:
-        """Unitary Q of A = QR: n columns spanning the inputs, then the complement."""
+        """Unitary Q of A_K = QR, A_K the kept inputs: ``rank`` columns, then the complement."""
         return self._span[0]
 
     @property
     def span_map(self) -> np.ndarray:
-        """A^+ = R^-1 Q_1^H, taking a vector of the span to its input coefficients."""
+        """A^+ = R^-1 Q_1^H on the kept inputs, zero rows for the others."""
         return self._span[1]
 
 
@@ -517,17 +505,19 @@ def construct_isometry(
 
     The environment has dimension r = rank(completed Gram); the unitary
     sends a_i (x) e0 to b_i (x) s_i, the columns of Y.  ``tol`` bounds the
-    mismatch of the input and dressed-output Gram matrices, never input
-    independence, which is ProcessSpec's rule.  As a_i (x) e0 = (Q_1 (x) e0) R,
-    the columns Q_1 (x) e0 go to Y R^-1 = Y A^+ Q_1; the rest of Q (x) I_r
-    goes to an orthonormal complement of those.
+    mismatch of the input and dressed-output Gram matrices, never the span,
+    which is ProcessSpec's.  With Q_1 the first ``rank`` columns of the
+    spec's ``span_basis``, a_i (x) e0 = (Q_1 (x) e0) Q_1^H a_i, so the columns
+    Q_1 (x) e0 go to Y A^+ Q_1; matching Gram matrices make Y satisfy every
+    linear relation among the inputs, dependent families included.  The rest
+    of Q (x) I_r goes to an orthonormal complement of those.
     """
     if not verdict.is_realizable:
         raise ValueError("construct_isometry needs a Realizable verdict")
     q = spec.span_basis
     sig = environment_vectors(verdict.completed_gram)
     r = sig.shape[0]
-    d, n = q.shape[0], spec.n
+    d, n, rank = q.shape[0], spec.n, spec.rank
     _, b, g_in, _ = spec._arrays
     # column i is b_i (x) s_i
     y = (b[:, None, :] * sig[None, :, :]).reshape(d * r, n)
@@ -537,8 +527,8 @@ def construct_isometry(
             f"input and dressed-output Gram matrices differ by {mismatch:.3e}; "
             "this indicates an inconsistent verdict"
         )
-    qy = y @ spec.span_map @ q[:, :n]
-    full_y = np.hstack([qy, np.linalg.svd(qy)[0][:, n:]])
+    qy = y @ spec.span_map @ q[:, :rank]
+    full_y = np.hstack([qy, np.linalg.svd(qy)[0][:, rank:]])
     # Q (x) I_r with its columns ordered by environment index: Q (x) e0 first
     full_x = np.kron(q, np.eye(r)).reshape(d * r, d, r).transpose(0, 2, 1)
     return full_y @ full_x.reshape(d * r, d * r).conj().T
@@ -572,9 +562,11 @@ def apply_process(
 
     Valid only when all environment overlaps equal one: the environment
     then decouples and the process acts linearly, sending sum_i c_i a_i
-    to sum_i c_i b_i, with c = A^+ v from the spec's ``span_map``.  ``tol``
-    bounds the residual |v - A c| (OutsideSpanError), never independence, and
-    an image of norm at most ``tol`` has no output state (ValueError).
+    to sum_i c_i b_i, with c = A^+ v from the spec's ``span_map``, which sits
+    on the kept inputs of a dependent family; the coherent outputs obey the
+    inputs' linear relations, so any expansion gives the same image.  ``tol``
+    bounds the residual |v - A c| (OutsideSpanError), never the span, and an
+    image of norm at most ``tol`` has no output state (ValueError).
     """
     if not verdict.is_realizable:
         raise ValueError("apply_process needs a Realizable verdict")

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from qcatalysis import (
-    DependentBasisError,
     EnvironmentGram,
     ProcessSpec,
     PureState,
@@ -159,9 +158,8 @@ def random_factored_spec(rng: np.random.Generator) -> ProcessSpec:
             vout = state(a)[0]
             pairs.append(tuple(PureState((dim_a, dim_b), v) for v in (vin, vout)))
         spec = ProcessSpec(dim_a, dim_b, tuple(pairs))
-        try:
-            spec.span_basis  # raises DependentBasisError for a dependent family
-        except DependentBasisError:
+        # the rule that once refused a dependent family's span
+        if np.linalg.eigvalsh(spec.input_matrix().conj().T @ spec.input_matrix())[0] <= 1e-9:
             continue
         return spec
 
@@ -416,7 +414,7 @@ def two_record_witness(spec: ProcessSpec, tol: float = 1e-9):
     if (spec.dim_a, spec.dim_b) == (2, 2):
         inputs = analyzer._stage_candidates_2x2(spec)
     else:
-        q = spec.span_basis[:, : spec.n]
+        q = spec.span_basis[:, : spec.rank]
         inputs = analyzer._stage_candidates_projected(spec, q @ q.conj().T)
     inputs = np.array(inputs, dtype=np.complex128).reshape(-1, span_map.shape[1])
     found = _stage_record(spec, inputs @ span_map.T)

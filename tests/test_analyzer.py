@@ -6,7 +6,6 @@ import pytest
 
 from helpers import near_dependent_identity_spec, random_factored_spec
 from qcatalysis import (
-    DependentBasisError,
     EntangledStateError,
     NOT_CATALYSIS,
     NO_WITNESS_FOUND,
@@ -181,23 +180,20 @@ class TestWitnessSearch:
         assert rows.shape == (spec.n * (spec.n - 1) // 2 + 1, spec.n)
         assert np.max(np.abs(a @ rows[-1] - named.vector)) < 1e-12
 
-    def test_dependent_family_is_refused(self):
+    def test_dependent_family_is_served(self):
         # identity on |00>, |01>, |0+>: realizable, coherent and catalyst
-        # intact, but |0+> is a combination of the other two inputs
+        # intact; |0+> is a combination of the other two inputs, and the
+        # search runs on their span, where the identity entangles nothing
         inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
         spec = ProcessSpec(2, 2, tuple((a, a) for a in inputs))
         verdict = decide_feasibility(spec)
         assert verdict.is_realizable
-        with pytest.raises(DependentBasisError) as exc:
-            find_entangling_witness(spec, verdict)
-        assert exc.value.min_gram_eigenvalue <= 1e-9
-        assert exc.value.dependent == (0, 1, 2)
-        # classify reports the refusal instead of raising it
+        assert find_entangling_witness(spec, verdict) is None
         report = classify(spec)
         assert report.coherence_preserving
         assert report.classification == NO_WITNESS_FOUND
         assert report.witness is None
-        assert report.reason.startswith("no witness search: inputs 0, 1, 2 are linearly dependent")
+        assert report.reason is None
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-2])
     def test_independence_guard_ignores_the_tolerance(self, tol):

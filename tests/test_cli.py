@@ -24,9 +24,12 @@ from helpers import (
     undetermined_cycle_spec,
 )
 from qcatalysis import (
+    PureState,
+    apply_process,
     classify,
     cloning_process,
     construct_isometry,
+    decide_feasibility,
     deletion_process,
     environment_vectors,
     uninformed_cloning_process,
@@ -381,15 +384,15 @@ class TestSpecFiles:
 
     def test_dependent_inputs_decided(self, tmp_path):
         # a repeated pair is a spec like any other: the identity on it is
-        # realizable and coherent, and only the witness search, which needs
-        # the span, is skipped with the dependence as its reason
+        # realizable and coherent, and the witness search runs on the span
+        # of its first input, finding none
         dep = json.loads(json.dumps(IDENTITY_FILE))
         dep["pairs"][1] = dep["pairs"][0]
         path = write_json(tmp_path, "dep.json", dep)
         doc, code = check_spec_file(path, RunConfig())
         assert code == EXIT_PASS
         assert doc["classification"] == "no_entangling_witness_found"
-        assert doc["reason"].startswith("no witness search: inputs 0, 1 are linearly dependent")
+        assert doc["reason"] is None
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -435,6 +438,19 @@ class TestSpecFiles:
         assert capsys.readouterr().err == (
             "qcatalysis: pairs[0].in: state is not normalized (|norm - 1| = 1.000e-06)\n"
         )
+
+    def test_pairs_are_capped(self, tmp_path, capsys):
+        # the number of pairs is bounded as the dimension is, before any
+        # state is built; the cap itself is decided
+        many = json.loads(json.dumps(IDENTITY_FILE))
+        many["pairs"] = (IDENTITY_FILE["pairs"] * 33)[:65]
+        path = write_json(tmp_path, "many.json", many)
+        assert main(["check", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "qcatalysis: pairs: 65 pairs exceed the cap of 64\n"
+        many["pairs"] = many["pairs"][:64]
+        doc, code = check_spec_file(write_json(tmp_path, "cap.json", many), RunConfig())
+        assert code == EXIT_PASS
+        assert doc["verdict"]["status"] == "realizable"
 
     @pytest.mark.parametrize(
         "mutate,field",
@@ -628,17 +644,27 @@ class TestMainEntryPoint:
         assert "sweep points without a realizable verdict: 8" in text
 
     @pytest.mark.parametrize("tolerance", [0.42, 0.9, 0.99])
-    def test_no_info_cloning_past_the_certificate_names_the_dependence(self, tolerance):
+    def test_no_info_cloning_past_the_certificate_finds_a_witness(self, tolerance):
         # from tol = sqrt(2) - 1 the modulus certificate lapses and the
-        # deliberately dependent inputs reach the witness stage
+        # deliberately dependent inputs reach the witness stage, which
+        # searches the span of the first two
         doc, code = run_scenario("no-info-cloning", RunConfig(tolerance=tolerance))
         assert code == EXIT_ASSERTION
-        assert doc["classification"] == "no_entangling_witness_found"
-        # the smallest Gram eigenvalue is rounding noise, so it prints as zero
-        assert doc["reason"] == (
-            "no witness search: inputs 0, 1, 2 are linearly dependent within "
-            "tolerance (smallest Gram eigenvalue 0.000e+00)"
-        )
+        failed = [a["name"] for a in doc["assertions"] if not a["passed"]]
+        assert failed == [
+            "classification_not_catalysis",
+            "certificate_modulus_violation",
+            "certificate_magnitude_sqrt2",
+            "certificate_pair_involves_third_state",
+        ]
+        assert (doc["classification"], doc["reason"]) == ("quantum_catalysis", None)
+        (witness,) = doc["witnesses"]
+        assert witness["concurrence_out"] == 1.0
+        spec = uninformed_cloning_process()
+        verdict = decide_feasibility(spec, tolerance)
+        state = PureState((2, 2), np.array([complex(*z) for z in witness["input"]]))
+        out = apply_process(spec, verdict, state, tolerance).vector
+        assert np.max(np.abs(out - [complex(*z) for z in witness["output"]])) < 1e-9
 
     def test_invalid_steps_is_usage_error(self, capsys):
         assert main(["run", "deletion-sweep", "--steps", "1"]) == EXIT_USAGE
@@ -799,12 +825,12 @@ def test_failed_assertions_yield_exit_two():
 
 def report_of_kind(kind: str, tmp_path) -> dict:
     """A report of one kind: a scenario's, no-info-cloning's at a tolerance
-    that reaches the dependent-input reason, or a check's, one per verdict."""
+    that reaches the witness search, or a check's, one per verdict."""
     if kind in SCENARIOS:
         return run_scenario(kind, RunConfig())[0]
     if kind == "no-info-cloning-0.42":
         doc, _ = run_scenario("no-info-cloning", RunConfig(tolerance=0.42))
-        assert doc["reason"].startswith("no witness search")
+        assert doc["witnesses"]
         return doc
     spec, status, has_pair = {
         "check-realizable": (cloning_process(), "realizable", None),

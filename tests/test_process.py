@@ -15,7 +15,6 @@ from qcatalysis import (
     REALIZABLE,
     UNDETERMINED,
     DensityMatrix,
-    DependentBasisError,
     EnvironmentGram,
     EnvironmentsDifferError,
     FeasibilityVerdict,
@@ -54,20 +53,21 @@ def identity_process() -> ProcessSpec:
 
 class TestProcessSpec:
     def test_rejects_dependent_inputs(self):
-        # a dependent family is a spec, and feasibility decides it; only
-        # its span refuses it, naming the inputs involved
+        # a dependent family is a spec, and feasibility decides it; its span
+        # rests on its earliest independent inputs, and the map is A^+ with
+        # zero rows for the others
         repeated = ProcessSpec(2, 2, ((ket("00"), ket("00")), (ket("00"), ket("11"))))
-        for spec, reason, pair, dependent in [
-            (repeated, "output_null_input_not", (0, 1), (0, 1)),
-            (uninformed_cloning_process(), "modulus_violation", (0, 2), (0, 1, 2)),
+        for spec, reason, pair, kept in [
+            (repeated, "output_null_input_not", (0, 1), (0,)),
+            (uninformed_cloning_process(), "modulus_violation", (0, 2), (0, 1)),
         ]:
             verdict = decide_feasibility(spec)
             assert verdict.status == INFEASIBLE
             assert (verdict.certificate.reason, verdict.certificate.pair) == (reason, pair)
-            with pytest.raises(DependentBasisError) as exc:
-                spec.span_map
-            assert exc.value.dependent == dependent
-            assert exc.value.min_gram_eigenvalue <= 1e-9
+            a, span_map = spec.input_matrix(), spec.span_map
+            assert spec.rank == len(kept)
+            assert tuple(np.flatnonzero(np.abs(span_map).max(axis=1) > 0)) == kept
+            assert np.max(np.abs(a @ span_map @ a - a)) < 1e-12
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="dims"):
@@ -80,6 +80,12 @@ class TestProcessSpec:
         message = r"^a process needs at least one \(input, output\) pair$"
         with pytest.raises(ValueError, match=message):
             ProcessSpec(2, 2, ())
+
+    def test_rejects_more_pairs_than_the_cap(self):
+        pair = (ket("00"), ket("00"))
+        assert ProcessSpec(2, 2, (pair,) * 64).rank == 1
+        with pytest.raises(ValueError, match="^65 pairs exceed the cap of 64$"):
+            ProcessSpec(2, 2, (pair,) * 65)
 
     def test_independence_check_can_be_waived(self):
         # no option waives it any more: every spec waives the check until
@@ -450,26 +456,26 @@ class TestApplyProcess:
             got = v @ np.kron(a.vector, e0)
             assert np.max(np.abs(got - np.kron(b.vector, sig[:, i]))) < 1e-9
 
-    @pytest.mark.parametrize(
-        "operation",
-        [
-            lambda spec, verdict: apply_process(spec, verdict, spec.pairs[0][0]),
-            lambda spec, verdict: output_density(spec, verdict, spec.pairs[0][0]),
-            lambda spec, verdict: construct_isometry(spec, verdict, 1e-2),
-        ],
-        ids=["apply_process", "output_density", "construct_isometry"],
-    )
-    def test_dependent_family_is_refused(self, operation):
-        # identity on |00>, |01>, |0+>: realizable and coherent, but |0+> is a
-        # combination of the other two inputs, so every span-based entry
-        # point refuses it by ProcessSpec's rule, whatever tol
+    @pytest.mark.parametrize("operation", ["apply_process", "output_density", "construct_isometry"])
+    def test_dependent_family_is_served(self, operation):
+        # identity on |00>, |01>, |0+>: |0+> is a combination of the other
+        # two inputs, and the span rests on those two
         inputs = (ket("00"), ket("01"), tensor(ket("0"), ket_plus()))
         spec = ProcessSpec(2, 2, tuple((a, a) for a in inputs))
         verdict = decide_feasibility(spec)
         assert verdict.is_realizable
-        with pytest.raises(DependentBasisError) as exc:
-            operation(spec, verdict)
-        assert exc.value.min_gram_eigenvalue <= 1e-9
+        assert spec.rank == 2
+        for i, a in enumerate(inputs):
+            if operation == "apply_process":
+                assert np.max(np.abs(apply_process(spec, verdict, a).vector - a.vector)) < 1e-12
+            elif operation == "output_density":
+                assert output_density(spec, verdict, a).purity() == pytest.approx(1.0, abs=1e-12)
+            else:
+                # a one-dimensional environment: s_i is a phase
+                v = construct_isometry(spec, verdict)
+                sig = environment_vectors(verdict.completed_gram)
+                assert sig.shape == (1, 3)
+                assert np.max(np.abs(v @ a.vector - a.vector * sig[0, i])) < 1e-12
 
     def test_differing_environments_rejected(self):
         rng = np.random.default_rng(35)

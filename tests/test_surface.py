@@ -16,7 +16,6 @@ PUBLIC = [
     "DEFAULT_TOL",
     "DeletionFamilyPoint",
     "DensityMatrix",
-    "DependentBasisError",
     "DimensionMismatchError",
     "EntangledStateError",
     "EnvironmentGram",
