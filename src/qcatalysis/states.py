@@ -115,6 +115,18 @@ def phase_aligned_distance(u, v) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
+def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
+    """``dims`` as a tuple of ints and its total dimension, or ValueError
+    unless each is a positive integer and the total is at most MAX_DIM."""
+    dims = tuple(_index(d, "subsystem dimension") for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_DIM:
+        raise ValueError(f"total dimension {total} exceeds the cap of {MAX_DIM}")
+    return dims, total
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector with a subsystem-dimension signature.
@@ -138,12 +150,7 @@ class PureState:
     vector: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(_index(d, "subsystem dimension") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        total = math.prod(dims)
-        if total > MAX_DIM:
-            raise ValueError(f"total dimension {total} exceeds the cap of {MAX_DIM}")
+        dims, total = _checked_dims(self.dims)
         vec = np.array(self.vector, dtype=np.complex128, order="C").ravel()
         n = math.sqrt(np.vdot(vec, vec).real)
         if vec.size != total or not math.isfinite(n):
@@ -354,8 +361,15 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 def random_states(dims: tuple[int, ...], count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-like random state vectors as rows, drawn from ``rng``
-    exactly as ``count`` successive ``random_state`` calls would draw them."""
-    x = rng.standard_normal((count, 2, math.prod(dims)))
+    exactly as ``count`` successive ``random_state`` calls would draw them.
+
+    ``dims`` must pass ``PureState``'s checks and ``count`` must be a
+    nonnegative integer; a refused call draws nothing from ``rng``."""
+    _, total = _checked_dims(dims)
+    count = _index(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    x = rng.standard_normal((count, 2, total))
     vecs = x[:, 0] + 1j * x[:, 1]
     return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 

@@ -4,6 +4,10 @@ Both protocols consume one shared entangled pair plus classical bits and
 reproduce their target exactly in every measurement branch, demonstrating
 that a single shared pair with classical communication suffices for the
 catalysis interaction.
+
+Each protocol is defined by its gate-stepped circuit.  A protocol is
+linear in its input, so its circuit runs once, at import, on the basis;
+every input is then one product with the resulting transfer tensor.
 """
 
 from __future__ import annotations
@@ -79,8 +83,9 @@ def _branches(kernel, state: PureState) -> list[BranchOutcome]:
     ]
 
 
-def _teleport_rows(states: np.ndarray) -> np.ndarray:
-    """Unnormalized branch amplitudes (4, 2, k) of teleporting each row of (k, 2).
+def _teleport_circuit(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 2, k) of teleporting each row of (k, 2),
+    gate by gate: the definition of the protocol.
 
     Register axes (input, sender's half, receiver's half, batch); the
     read-out (m0, m1) of the first two axes labels the branch.
@@ -92,8 +97,9 @@ def _teleport_rows(states: np.ndarray) -> np.ndarray:
     return reg.reshape(4, 2, -1)
 
 
-def _nonlocal_cnot_rows(states: np.ndarray) -> np.ndarray:
-    """Unnormalized branch amplitudes (4, 4, k) of the remote CNOT on each row of (k, 4).
+def _nonlocal_cnot_circuit(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 4, k) of the remote CNOT on each row of
+    (k, 4), gate by gate: the definition of the protocol.
 
     Register axes (A, B, a1, b1, batch); the read-outs m of a1 and n of b1
     label the branch.
@@ -106,6 +112,31 @@ def _nonlocal_cnot_rows(states: np.ndarray) -> np.ndarray:
     return reg.transpose(2, 3, 0, 1, 4).reshape(4, 4, -1)
 
 
+def _transfer(circuit, dim: int) -> np.ndarray:
+    """The read-only transfer tensor of a linear ``circuit``: its branch
+    amplitudes on the basis rows, T[b, :, i] for input |i>."""
+    tensor = np.ascontiguousarray(circuit(np.eye(dim)))
+    tensor.setflags(write=False)
+    return tensor
+
+
+# each protocol is linear in its input, so its circuit runs once, here
+_TELEPORT = _transfer(_teleport_circuit, 2)
+_NONLOCAL_CNOT = _transfer(_nonlocal_cnot_circuit, 4)
+
+
+def _teleport_rows(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 2, k) of teleporting each row of (k, 2):
+    one product with the transfer tensor of ``_teleport_circuit``."""
+    return _TELEPORT @ states.T
+
+
+def _nonlocal_cnot_rows(states: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes (4, 4, k) of the remote CNOT on each row of
+    (k, 4): one product with the transfer tensor of ``_nonlocal_cnot_circuit``."""
+    return _NONLOCAL_CNOT @ states.T
+
+
 def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     """Teleport a single-qubit state through one shared entangled pair.
 
@@ -114,7 +145,8 @@ def teleport(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger]:
     four branches of probability 1/4); the receiver applies the X/Z
     correction named by the two classical bits.  Every branch reproduces
     the input exactly up to global phase.  This is the one-row case of
-    ``_teleport_rows``; the branch states are its guarded unit rows.
+    ``_teleport_rows``, one product with the protocol's transfer tensor;
+    the branch states are its guarded unit rows.
     """
     if state.dims != (2,):
         raise ValueError(f"teleport expects a single qubit, got dims {state.dims}")
@@ -129,8 +161,9 @@ def nonlocal_cnot(state: PureState) -> tuple[list[BranchOutcome], ResourceLedger
     to Bob, who corrects b1 and applies CNOT from b1 onto B; measuring b1
     in the |+>/|-> basis sends one bit back, fixing a phase on A.  Every
     branch equals CNOT(A -> B) applied to the input, up to global phase.
-    This is the one-row case of ``_nonlocal_cnot_rows``; the branch states
-    are its guarded unit rows.
+    This is the one-row case of ``_nonlocal_cnot_rows``, one product with
+    the protocol's transfer tensor; the branch states are its guarded unit
+    rows.
     """
     if state.dims != (2, 2):
         raise ValueError(f"nonlocal_cnot expects two qubits, got dims {state.dims}")

@@ -52,7 +52,7 @@ def identity_process() -> ProcessSpec:
 
 
 class TestProcessSpec:
-    def test_rejects_dependent_inputs(self):
+    def test_dependent_family_spans_its_earliest_independent_inputs(self):
         # a dependent family is a spec, and feasibility decides it; its span
         # rests on its earliest independent inputs, and the map is A^+ with
         # zero rows for the others
@@ -86,12 +86,6 @@ class TestProcessSpec:
         assert ProcessSpec(2, 2, (pair,) * 64).rank == 1
         with pytest.raises(ValueError, match="^65 pairs exceed the cap of 64$"):
             ProcessSpec(2, 2, (pair,) * 65)
-
-    def test_independence_check_can_be_waived(self):
-        # no option waives it any more: every spec waives the check until
-        # a span user first needs the span
-        spec = uninformed_cloning_process()
-        assert spec.n == 3
 
     @pytest.mark.parametrize("side", [0, 1], ids=["input", "output"])
     def test_matrices_are_built_once_and_read_only(self, side):

@@ -255,8 +255,10 @@ class TestApplyGate:
         ],
     )
     def test_register_kernel_keeps_a_trailing_batch_axis(self, name, dims, targets):
-        rng = np.random.default_rng(24)
-        rows = random_states(dims, 7, rng)
+        # the gate is linear, so unnormalized rows serve, and they may exceed
+        # the cap on a state's dimension that random_states keeps
+        x = np.random.default_rng(24).standard_normal((7, 2, math.prod(dims)))
+        rows = x[:, 0] + 1j * x[:, 1]
         reg = rows.T.reshape(dims + (7,))
         out = _gate(name, targets, reg)
         assert out.shape == reg.shape
@@ -409,3 +411,41 @@ class TestRandomStates:
         rows = random_states((2, 2), 100, np.random.default_rng(48))
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((100,), "total dimension 100 exceeds the cap of 64"),
+            ((2,) * 7, "total dimension 128 exceeds the cap of 64"),
+            ((0,), r"subsystem dimensions must be positive, got \(0,\)"),
+            ((2, -2), r"subsystem dimensions must be positive, got \(2, -2\)"),
+            ((), r"subsystem dimensions must be positive, got \(\)"),
+            ((2.5,), "subsystem dimension must be an integer, got 2.5"),
+        ],
+    )
+    def test_refuses_what_pure_state_refuses(self, dims, message):
+        # the same rule and message as PureState, before anything is drawn
+        rng = np.random.default_rng(49)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_states(dims, 2, rng)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PureState(dims, [1.0])
+        assert rng.standard_normal() == np.random.default_rng(49).standard_normal()
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (-1, "count must be nonnegative, got -1"),
+            (2.0, "count must be an integer, got 2.0"),
+            ("3", "count must be an integer, got '3'"),
+        ],
+    )
+    def test_refuses_a_count_that_is_not_a_nonnegative_integer(self, count, message):
+        rng = np.random.default_rng(50)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_states((2,), count, rng)
+        assert rng.standard_normal() == np.random.default_rng(50).standard_normal()
+
+    def test_zero_count_gives_no_rows(self):
+        rng = np.random.default_rng(51)
+        assert random_states((2, 3), np.int64(0), rng).shape == (0, 6)
+        assert rng.standard_normal() == np.random.default_rng(51).standard_normal()

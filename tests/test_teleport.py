@@ -271,6 +271,86 @@ class TestBatchedKernels:
             assert min_fid >= 1.0 - 1e-12 and sum_err <= 1e-12
 
 
+# (kernel, its transfer tensor's name, the circuit that defines it, input dims)
+TRANSFERS = [
+    pytest.param(_teleport_rows, "_TELEPORT", "_teleport_circuit", (2,), id="teleport"),
+    pytest.param(
+        _nonlocal_cnot_rows, "_NONLOCAL_CNOT", "_nonlocal_cnot_circuit", (2, 2),
+        id="nonlocal-cnot",
+    ),
+]
+
+
+def named_rows(dims):
+    """The named inputs of ``dims``: |0>, |1> and |+>, or the two-qubit basis,
+    the Bell pair and the standard pairs."""
+    if dims == (2,):
+        return [s.vector for s in standard_triple("target")]
+    pairs = zip(standard_triple("target"), standard_triple("source"))
+    basis = [ket(bits) for bits in ("00", "01", "10", "11")]
+    return [s.vector for s in (*basis, bell_pair(), *(tensor(t, s) for t, s in pairs))]
+
+
+class TestTransferTensors:
+    """Each protocol runs as the product of its circuit's transfer tensor."""
+
+    @pytest.mark.parametrize("kernel, tensor_name, circuit_name, dims", TRANSFERS)
+    def test_tensor_is_the_circuit_on_the_basis_and_read_only(
+        self, kernel, tensor_name, circuit_name, dims
+    ):
+        d = int(np.prod(dims))
+        transfer = getattr(teleport_module, tensor_name)
+        circuit = getattr(teleport_module, circuit_name)
+        assert transfer.shape == (4, d, d) and transfer.dtype == np.complex128
+        np.testing.assert_array_equal(transfer, circuit(np.eye(d)))
+        assert not transfer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            transfer[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("kernel, tensor_name, circuit_name, dims", TRANSFERS)
+    def test_every_call_returns_a_new_writable_array(
+        self, kernel, tensor_name, circuit_name, dims
+    ):
+        # failed_assertions writes into what the kernel returns
+        transfer = getattr(teleport_module, tensor_name)
+        kept = transfer.copy()
+        row = named_rows(dims)[0][None, :]
+        first, second = kernel(row), kernel(row)
+        assert first is not second
+        for out in (first, second):
+            assert out.flags.writeable
+            assert not np.shares_memory(out, transfer) and not np.shares_memory(out, row)
+        first[...] = 7.0
+        np.testing.assert_array_equal(transfer, kept)
+        np.testing.assert_array_equal(second, kernel(row))
+
+    @pytest.mark.parametrize("kernel, tensor_name, circuit_name, dims", TRANSFERS)
+    def test_branches_are_complete(self, kernel, tensor_name, circuit_name, dims):
+        # sum_b T_b^H T_b = I: the branch probabilities of any input sum to one
+        transfer = getattr(teleport_module, tensor_name)
+        gram = np.einsum("bji,bjk->ik", transfer.conj(), transfer)
+        assert np.max(np.abs(gram - np.eye(transfer.shape[2]))) <= 1e-15
+
+    def test_every_teleport_branch_is_a_quarter_of_an_isometry(self):
+        # T_b^H T_b = I / 4: each branch has probability 1/4 whatever the input
+        transfer = teleport_module._TELEPORT
+        for branch in transfer:
+            assert np.max(np.abs(branch.conj().T @ branch - np.eye(2) / 4)) <= 1e-15
+
+    @pytest.mark.parametrize("kernel, tensor_name, circuit_name, dims", TRANSFERS)
+    def test_one_row_calls_match_the_gate_stepped_circuit(
+        self, kernel, tensor_name, circuit_name, dims
+    ):
+        circuit = getattr(teleport_module, circuit_name)
+        rows = np.concatenate(
+            [random_states(dims, 200, np.random.default_rng(62)), named_rows(dims)]
+        )
+        for row in rows:
+            got, want = kernel(row[None, :]), circuit(row[None, :])
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 KERNELS = {"teleport": "_teleport_rows", "nonlocal-cnot": "_nonlocal_cnot_rows"}
 
 
