@@ -37,6 +37,7 @@ from .process import (
     EnvironmentsDifferError,
     FeasibilityVerdict,
     ProcessSpec,
+    _check_completion,
     _coherent_gram_check,
     apply_process,
     decide_feasibility,
@@ -215,12 +216,14 @@ def catalyst_intact(
 
 
 def _entanglement_scores(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Twice the product of the two largest Schmidt coefficients, per row.
+    """Twice the product of the two largest Schmidt coefficients, per unit row.
 
-    Equals the two-qubit concurrence when both sides are qubits; zero
-    exactly for product states in general.  Only singular values are
-    computed.
+    Zero exactly for product states.  On two qubits it is the concurrence,
+    computed exactly as |_det_form(u, u)| = 2|u0 u3 - u1 u2| (Wootters, PRL
+    80, 2245, 1998); other dimensions take the singular values only.
     """
+    if (dim_a, dim_b) == (2, 2):
+        return np.minimum(np.abs(_det_form(vecs, vecs)), 1.0)
     s = np.linalg.svd(vecs.reshape(-1, dim_a, dim_b), compute_uv=False)
     if s.shape[1] < 2:
         return np.zeros(len(s))
@@ -238,8 +241,8 @@ def _stage_candidates_canonical(
     rows = eye[i] + eye[j]
     if (spec.dim_a, spec.dim_b) == (2, 2):
         named = _NAMED_2X2 @ span_map.T
-        residuals = np.linalg.norm(_NAMED_2X2 - named @ spec.input_matrix().T, axis=1)
-        rows = np.vstack([rows, named[residuals <= tol]])
+        miss = _NAMED_2X2 - named @ spec.input_matrix().T
+        rows = np.vstack([rows, named[np.sqrt((miss.conj() * miss).real.sum(axis=1)) <= tol]])
     return rows
 
 
@@ -254,6 +257,7 @@ def _spinor_grid(count: int) -> np.ndarray:
 # the monomials v = (x0^2, x0 x1, x1^2) of a spinor x are x[_MONO_LEFT] * x[_MONO_RIGHT]
 _MONO_LEFT = np.array([0, 0, 1])
 _MONO_RIGHT = np.array([0, 1, 1])
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
@@ -279,14 +283,16 @@ def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _scan_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The spinor grid and its neighbour table; read-only.
+def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spinor grid, its neighbour table and, per refinement round r, the
+    local grid _REFINE_OFFSETS * _REFINE_STEP / _REFINE_SHRINK**r; read-only.
 
     Built on the first two-qubit scan, so that a process that never scans
-    never pays for them (0.16 MB, a few ms).
+    never pays for them (0.17 MB, a few ms).
     """
     grid = _spinor_grid(_GRID_POINTS)
-    tables = (grid, _grid_neighbours(grid))
+    steps = _REFINE_STEP / _REFINE_SHRINK ** np.arange(_REFINE_ROUNDS)
+    tables = (grid, _grid_neighbours(grid), steps[:, None] * _REFINE_OFFSETS)
     for m in tables:
         m.setflags(write=False)
     return tables
@@ -358,22 +364,20 @@ def _scan(score) -> np.ndarray:
     normalized.  The first start that ends within _START_MARGIN of the best
     one wins.
     """
-    grid, neighbours = _scan_tables()
+    grid, neighbours, rounds = _scan_tables()
     grid_scores = score(grid)
-    peaks = np.flatnonzero(grid_scores >= grid_scores[neighbours].max(axis=0))
-    peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[:_MAX_STARTS]]
+    peaks = (grid_scores >= grid_scores[neighbours].max(axis=0)).nonzero()[0]
+    peaks = peaks[(-grid_scores[peaks]).argsort(kind="stable")[:_MAX_STARTS]]
     x = grid[:, peaks]
     starts = np.arange(len(peaks))
-    step = _REFINE_STEP
-    for _ in range(_REFINE_ROUNDS):
+    for offsets in rounds:
         perp = x[::-1].conj() * _TANGENT_SIGNS
-        cand = x[:, :, None] + perp[:, :, None] * (step * _REFINE_OFFSETS)
+        cand = x[:, :, None] + perp[:, :, None] * offsets
         scores = score(cand.reshape(2, -1)).reshape(len(starts), -1)
-        best = np.argmax(scores, axis=1)
+        best = scores.argmax(axis=1)
         x = cand[:, starts, best]
-        step /= _REFINE_SHRINK
     final = scores[starts, best]
-    x = x[:, int(np.argmax(final >= final.max() - _START_MARGIN))]
+    x = x[:, int((final >= final.max() - _START_MARGIN).argmax())]
     return x / math.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
@@ -424,7 +428,9 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
         return [_best_in_span(image, np.kron(x[:, None], eye))]
     if rank == 3:
         wm = u[:, 3].reshape(2, 2)
-        if np.linalg.svd(wm, compute_uv=False)[-1] <= SEPARABLE_CUTOFF:
+        # wm is unit: s_min = |det| / s_max, s_max^2 = (1 + sqrt(1 - 4|det|^2)) / 2
+        det = abs(_det_form(u[:, 3], u[:, 3])) / 2.0
+        if det / math.sqrt(0.5 + math.sqrt(max(0.25 - det * det, 0.0))) <= SEPARABLE_CUTOFF:
             # the complement vector is a product p (x) q: the product vectors
             # of the span are the lines p_perp (x) C^2, where every y is
             # admissible (the exceptional x), and C^2 (x) q_perp
@@ -434,17 +440,17 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
                 _best_in_span(image, np.kron(eye, lvh[1:].T)),
             ]
         # y(x) = x @ follow spans the null space of w^H (x (x) I) = x @ conj(wm)
-        follow = wm.conj() @ np.array([[0.0, -1.0], [1.0, 0.0]])
+        follow = wm.conj() @ _QUARTER_TURN
         # image(x (x) y(x)) = sum_ac x_a x_c quad[:, a, c] = mono @ v
         quad = image.reshape(4, 2, 2) @ follow.T
         mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]], axis=1)
 
         def score(xs):
             o = mono @ (xs[_MONO_LEFT] * xs[_MONO_RIGHT])
-            return 2.0 * np.abs(o[0] * o[3] - o[1] * o[2]) / np.maximum(np.sum(np.abs(o) ** 2, axis=0), 1e-300)
+            return 2.0 * np.abs(o[0] * o[3] - o[1] * o[2]) / np.maximum((np.abs(o) ** 2).sum(axis=0), 1e-300)
 
         x = _scan(score)
-        return [np.outer(x, x @ follow).ravel()]
+        return [(x[:, None] * (x @ follow)).ravel()]
     # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
     r0, r1 = u[:, 2:].conj().T.reshape(2, 2, 2).transpose(1, 0, 2)
     q0 = np.linalg.det(r0)
@@ -499,17 +505,18 @@ def _stage_best(
 
     The candidates are the rows of ``coeffs @ A^T`` with norm above 1e-12.
     Their unit rows and their unit images under B are stacked and scored
-    by one singular-values-only decomposition; the first best row wins.
+    at once by _entanglement_scores; the first best row wins.
     Returns the fields of its WitnessRecord, with the input and output as
     unit rows: input, output, both scores and the coefficients of the input.
     """
     in_rows = coeffs @ spec.input_matrix().T
-    norms = np.linalg.norm(in_rows, axis=1)
-    idx = np.flatnonzero(norms > 1e-12)
+    # row norms by np.linalg.norm's own formula, without its dispatch
+    norms = np.sqrt((in_rows.conj() * in_rows).real.sum(axis=1))
+    idx = (norms > 1e-12).nonzero()[0]
     if not idx.size:
         return None
     out_rows = coeffs[idx] @ spec.output_matrix().T
-    out_norms = np.linalg.norm(out_rows, axis=1)[:, None]
+    out_norms = np.sqrt((out_rows.conj() * out_rows).real.sum(axis=1))[:, None]
     # an entangled candidate's image may be zero: its row stays zero and scores 0
     out_units = np.divide(out_rows, out_norms, out=np.zeros_like(out_rows), where=out_norms > 0)
     units = np.concatenate([in_rows[idx] / norms[idx, None], out_units])
@@ -518,7 +525,7 @@ def _stage_best(
     sep = ent[:k] <= SEPARABLE_CUTOFF
     if not sep.any():
         return None
-    best = int(np.argmax(np.where(sep, ent[k:], -1.0)))
+    best = int(np.where(sep, ent[k:], -1.0).argmax())
     if ent[k + best] <= WITNESS_CUTOFF:
         return None
     row = idx[best]
@@ -549,13 +556,15 @@ def find_entangling_witness(
     basis, which is not exhaustive.  It is skipped when the canonical stage
     already attains the maximal score of one, and its witness replaces the
     canonical one only when its output entanglement is strictly higher;
-    within a stage earlier candidates break ties.  Each stage is scored once,
-    from singular values only, and one record is built for the winner.
+    within a stage earlier candidates break ties.  Each stage is scored once
+    (_entanglement_scores), and one record is built for the winner.  A
+    verdict whose completion does not fit ``spec`` raises RuntimeError.
     """
     if not verdict.is_realizable:
         raise ValueError("witness search needs a Realizable verdict")
     if not _coherent_gram_check(verdict, tol):
         raise EnvironmentsDifferError()
+    _check_completion(spec, verdict, tol)
     span_map = spec.span_map
     best = _stage_best(spec, _stage_candidates_canonical(spec, span_map, tol))
     if best is None or best[3] < 1.0 - 1e-12:

@@ -514,6 +514,8 @@ def construct_isometry(
     """
     if not verdict.is_realizable:
         raise ValueError("construct_isometry needs a Realizable verdict")
+    if verdict.completed_gram.shape != (spec.n, spec.n):
+        _refuse_mismatch(math.inf, tol)
     q = spec.span_basis
     sig = environment_vectors(verdict.completed_gram)
     r = sig.shape[0]
@@ -521,17 +523,29 @@ def construct_isometry(
     _, b, g_in, _ = spec._arrays
     # column i is b_i (x) s_i
     y = (b[:, None, :] * sig[None, :, :]).reshape(d * r, n)
-    mismatch = float(np.max(np.abs(g_in - y.conj().T @ y)))
-    if mismatch > max(tol, 1e-9) * 10.0:
-        raise RuntimeError(
-            f"input and dressed-output Gram matrices differ by {mismatch:.3e}; "
-            "this indicates an inconsistent verdict"
-        )
+    _refuse_mismatch(float(np.max(np.abs(g_in - y.conj().T @ y))), tol)
     qy = y @ spec.span_map @ q[:, :rank]
     full_y = np.hstack([qy, np.linalg.svd(qy)[0][:, rank:]])
     # Q (x) I_r with its columns ordered by environment index: Q (x) e0 first
     full_x = np.kron(q, np.eye(r)).reshape(d * r, d, r).transpose(0, 2, 1)
     return full_y @ full_x.reshape(d * r, d * r).conj().T
+
+
+def _refuse_mismatch(mismatch: float, tol: float) -> None:
+    if mismatch > max(tol, 1e-9) * 10.0:
+        raise RuntimeError(
+            f"input and dressed-output Gram matrices differ by {mismatch:.3e}; "
+            "this indicates an inconsistent verdict"
+        )
+
+
+def _check_completion(spec: ProcessSpec, verdict: FeasibilityVerdict, tol: float) -> None:
+    """Refuse a verdict decided for another spec: its completed Gram G must be
+    (n, n) and reproduce the input Gram, |G_in - G_out o G| <= 10 max(tol, 1e-9)."""
+    _, _, g_in, g_out = spec._arrays
+    g = verdict.completed_gram
+    mismatch = float(np.max(np.abs(g_in - g_out * g))) if g.shape == g_in.shape else math.inf
+    _refuse_mismatch(mismatch, tol)
 
 
 def _coherent_gram_check(verdict: FeasibilityVerdict, tol: float) -> bool:
@@ -572,6 +586,7 @@ def apply_process(
         raise ValueError("apply_process needs a Realizable verdict")
     if not _coherent_gram_check(verdict, tol):
         raise EnvironmentsDifferError()
+    _check_completion(spec, verdict, tol)
     coeff = _expand_input(spec, state, tol)
     out = spec.output_matrix() @ coeff
     norm = np.linalg.norm(out)
@@ -598,6 +613,7 @@ def output_density(
     """
     if not verdict.is_realizable:
         raise ValueError("output_density needs a Realizable verdict")
+    _check_completion(spec, verdict, tol)
     coeff = _expand_input(spec, state, tol)
     e = verdict.completed_gram
     weights = np.outer(coeff, coeff.conj()) * e.conj()

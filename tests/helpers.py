@@ -364,6 +364,31 @@ def batched_protocol_figures(name: str, seed: int) -> tuple[float, float | None,
     return float(fids.min()), prob_err, float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
 
 
+def reference_scan(score) -> np.ndarray:
+    """analyzer._scan as a plain loop that shrinks its step each round.
+
+    The same grid, neighbour table, starts, rounds and tie rules; the scan
+    must return this spinor bit for bit.
+    """
+    grid, neighbours = analyzer._scan_tables()[:2]
+    grid_scores = score(grid)
+    peaks = np.flatnonzero(grid_scores >= grid_scores[neighbours].max(axis=0))
+    peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[: analyzer._MAX_STARTS]]
+    x = grid[:, peaks]
+    starts = np.arange(len(peaks))
+    step = analyzer._REFINE_STEP
+    for _ in range(analyzer._REFINE_ROUNDS):
+        perp = x[::-1].conj() * analyzer._TANGENT_SIGNS
+        cand = x[:, :, None] + perp[:, :, None] * (step * analyzer._REFINE_OFFSETS)
+        scores = score(cand.reshape(2, -1)).reshape(len(starts), -1)
+        best = np.argmax(scores, axis=1)
+        x = cand[:, starts, best]
+        step /= analyzer._REFINE_SHRINK
+    final = scores[starts, best]
+    x = x[:, int(np.argmax(final >= final.max() - analyzer._START_MARGIN))]
+    return x / math.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
+
+
 def _full_svd_scores(rows: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """min(2 s0 s1, 1) per row, from full SVDs (with singular vectors)."""
     s = np.linalg.svd(rows.reshape(-1, dim_a, dim_b))[1]

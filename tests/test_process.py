@@ -367,6 +367,29 @@ class TestVerdictGuards:
         with pytest.raises(ValueError, match=f"^{name} needs a Realizable verdict$"):
             operation(cloning_process(), FeasibilityVerdict(status))
 
+    @pytest.mark.parametrize("wrong", ["another-spec", "one-pair-more"])
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            find_entangling_witness,
+            construct_isometry,
+            lambda spec, verdict: apply_process(spec, verdict, spec.pairs[0][0]),
+            lambda spec, verdict: output_density(spec, verdict, spec.pairs[0][0]),
+        ],
+        ids=["find_entangling_witness", "construct_isometry", "apply_process", "output_density"],
+    )
+    def test_a_verdict_decided_for_another_spec_is_refused(self, operation, wrong):
+        # cloning's verdict is realizable with every overlap one, yet the
+        # uninformed cloning spec is infeasible (modulus violation sqrt 2);
+        # an all-ones Gram one pair too large fits no deletion either
+        if wrong == "another-spec":
+            spec, verdict = uninformed_cloning_process(), decide_feasibility(cloning_process())
+        else:
+            spec = deletion_process()
+            verdict = FeasibilityVerdict(REALIZABLE, completed_gram=np.ones((spec.n + 1,) * 2))
+        with pytest.raises(RuntimeError, match="^input and dressed-output Gram matrices differ by"):
+            operation(spec, verdict)
+
     def test_isometry_refuses_a_gram_that_contradicts_the_spec(self):
         # deletion's environment overlaps are all one; a hand-built verdict
         # with G[0, 2] = 0 is not even PSD, and its dressed outputs cannot

@@ -27,7 +27,7 @@ from qcatalysis import (
     schmidt_coefficients,
 )
 
-from helpers import random_unitary, two_record_witness
+from helpers import controlled_unitary_spec, random_unitary, reference_scan, two_record_witness
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -418,6 +418,63 @@ def test_one_record_search_keeps_the_two_record_rule(index):
     got = (w.input.vector, w.output.vector, w.concurrence_in, w.concurrence_out, w.coefficients)
     for value, expected in zip(got, want):
         np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12)
+
+
+def seeded_unit_rows(rng: np.random.Generator, dim_a: int, dim_b: int) -> np.ndarray:
+    """1,200 unit rows: 400 Haar-random states, 400 exact products x (x) y and
+    400 maximally entangled states (U (x) I) sum_k |kk> / sqrt(dim_a), dim_a <= dim_b."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    haar = unit(gaussian(400, dim_a * dim_b))
+    products = (unit(gaussian(400, dim_a))[:, :, None] * unit(gaussian(400, dim_b))[:, None, :])
+    bell = np.eye(dim_a, dim_b) / math.sqrt(dim_a)
+    maximal = np.array([random_unitary(rng, dim_a) @ bell for _ in range(400)])
+    return np.concatenate([haar, products.reshape(400, -1), maximal.reshape(400, -1)])
+
+
+def test_two_qubit_scores_are_the_closed_form_concurrence():
+    rows = seeded_unit_rows(np.random.default_rng(30), 2, 2)
+    got = analyzer._entanglement_scores(rows, 2, 2)
+    s = np.linalg.svd(rows.reshape(-1, 2, 2), compute_uv=False)
+    np.testing.assert_allclose(got, np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0), rtol=0, atol=2e-15)
+    want = [concurrence(PureState((2, 2), row)) for row in rows]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert got.max() == 1.0  # the Bell states clamp to one
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_other_dimensions_keep_the_singular_value_scores(dims):
+    rows = seeded_unit_rows(np.random.default_rng(31), *sorted(dims))
+    s = np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False)
+    want = np.minimum(2.0 * s[:, 0] * s[:, 1], 1.0)
+    assert np.array_equal(analyzer._entanglement_scores(rows, *dims), want)
+
+
+def random_residue_deletions(count: int) -> list[ProcessSpec]:
+    rng = np.random.default_rng(32)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(count, 2))
+    return [deletion_process((deletion_residue(u), deletion_residue(v), ket_plus())) for u, v in angles]
+
+
+SCAN_FAMILIES = {
+    "deletion": lambda: random_residue_deletions(20),
+    "rotated-deletion": lambda: [rotated_deletion_spec(seed) for seed in range(20)],
+    "rank3-family": lambda: RANK3_FAMILY,
+    "controlled-unitary": lambda: [controlled_unitary_spec(seed) for seed in range(40)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+def test_scan_returns_the_reference_loop_spinor_bit_for_bit(family, monkeypatch):
+    # the controlled-unitary specs reach the rank-4 score, the others the rank-3 one
+    for spec in SCAN_FAMILIES[family]():
+        score = scan_score(spec, monkeypatch)
+        assert np.array_equal(analyzer._scan(score), reference_scan(score))
+    assert not any(table.flags.writeable for table in analyzer._scan_tables())
 
 
 def test_apply_process_refuses_an_input_whose_image_vanishes():
