@@ -88,6 +88,13 @@ _CIRCULAR_PAIR = np.kron(_CIRCULAR, _CIRCULAR)
 _PLUS_ZERO = np.kron([1.0, 1.0], [1.0, 0.0]) / math.sqrt(2.0)
 _NAMED_2X2 = np.array([_PLUS_ZERO, _CIRCULAR_PAIR])
 
+# the magic basis, _det_form(q_j, q_l) = delta_jl; a slope t at which Re m + t Im m has
+# the real eigenvectors of a symmetric unitary m; four points' pair midpoints and triples
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2.0)
+_PENCIL_SLOPE = (math.sqrt(5.0) - 1.0) / 2.0
+_PAIR_WEIGHTS = (np.eye(4)[:, None] + np.eye(4))[np.triu_indices(4, 1)] / 2.0
+_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
 
 @dataclass(frozen=True, eq=False)
 class WitnessRecord:
@@ -287,7 +294,7 @@ def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spinor grid, its neighbour table and, per refinement round r, the
     local grid _REFINE_OFFSETS * _REFINE_STEP / _REFINE_SHRINK**r; read-only.
 
-    Built on the first two-qubit scan, so that a process that never scans
+    Built on the first rank-3 scan, so that a process that never scans
     never pays for them (0.17 MB, a few ms).
     """
     grid = _spinor_grid(_GRID_POINTS)
@@ -312,27 +319,6 @@ def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.maximum(np.sqrt(np.sum(np.abs(v) ** 2, axis=-1)), 1e-300)[..., None]
-
-
-def _image_scores(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Best output concurrence over the span of two images, per row.
-
-    The images are orthonormalized to the columns q_j of Q, so the best
-    concurrence is the top singular value of the complex-symmetric matrix
-    S_jl = _det_form(q_j, q_l).
-    """
-    q0 = _unit_rows(first)
-    s00 = _det_form(q0, q0)
-    q1 = _unit_rows(second - q0 * np.sum(q0.conj() * second, axis=-1)[..., None])
-    s01 = _det_form(q0, q1)
-    s11 = _det_form(q1, q1)
-    fro = np.abs(s00) ** 2 + 2.0 * np.abs(s01) ** 2 + np.abs(s11) ** 2
-    det = np.abs(s00 * s11 - s01 * s01)
-    return np.sqrt((fro + np.sqrt(np.maximum(fro * fro - 4.0 * det * det, 0.0))) / 2.0)
-
-
 def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Input v in the column span of ``basis`` whose image has maximal concurrence.
 
@@ -347,6 +333,40 @@ def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:
     k = s.shape[0]
     top = np.linalg.eigh(np.block([[s.real, -s.imag], [-s.imag, -s.real]]))[1][:, -1]
     return basis @ np.linalg.solve(r, top[:k] + 1j * top[k:])
+
+
+def _full_span_witness(image: np.ndarray) -> list[np.ndarray]:
+    """The best product input of the whole two-qubit space, in closed form.
+
+    With m_jl = _det_form of the images of _MAGIC's columns j and l, a
+    symmetric unitary m = O diag(w) O^T (O real), the input _MAGIC O z is a
+    product when sum_k p_k = 0, p = z^2, and its output has concurrence
+    |sum_k p_k w_k| / sum_k |p_k| <= max_k |w_k - c| for every c: at best the
+    radius of the smallest circle around the w_k, reached at p_k = l_k
+    conj(w_k - c) for weights l >= 0 of its centre c = l @ w, the midpoint of
+    the two farthest w_k or the origin inside a triangle of them (a perfect
+    entangler).  The support with the largest sum_k l_k |w_k - c|^2 wins; no
+    candidate when the w_k coincide (local and local∘SWAP maps).
+    """
+    q = image @ _MAGIC
+    m = _det_form(q.T[:, None, :], q.T[None, :, :])
+    o = np.linalg.eigh(m.real + _PENCIL_SLOPE * m.imag)[1]
+    # each column's largest entry positive, so LAPACK's signs cannot pick the witness
+    o *= np.sign(o[np.abs(o).argmax(axis=0), np.arange(4)])
+    w = np.einsum("jk,jl,lk->k", o, m, o)
+    if np.abs(w - w[0]).max() <= WITNESS_CUTOFF:
+        return []
+    # the weight of each corner of a triangle is the cross product of the other two
+    ends = w[_TRIPLES]
+    cross = (np.roll(ends, -1, axis=1).conj() * np.roll(ends, -2, axis=1)).imag
+    holds = (cross > 0).all(axis=1) | (cross < 0).all(axis=1)
+    triangles = np.zeros((int(holds.sum()), 4))
+    shares = cross[holds] / cross[holds].sum(axis=1, keepdims=True)
+    np.put_along_axis(triangles, _TRIPLES[holds], shares, axis=1)
+    weights = np.vstack([_PAIR_WEIGHTS, triangles])
+    centres = weights @ w
+    best = (weights * np.abs(w - centres[:, None]) ** 2).sum(axis=1).argmax()
+    return [np.sqrt(weights[best] * (w - centres[best]).conj()) @ (_MAGIC @ o).T]
 
 
 def _scan(score) -> np.ndarray:
@@ -387,8 +407,7 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     The admissible B factors y of an A factor x are the null space of
     W^H (x (x) I), with W an orthonormal basis of the span's complement.
 
-    - rank 4: every y is admissible; x is scanned and the best y at each x
-      is the top Takagi vector of the output determinant form.
+    - rank 4: the closed form of _full_span_witness.
     - rank 3, complement vector w entangled: y(x) is unique for every x,
       and x is scanned.  The image of x (x) y(x) is o = mono @ v, linear in
       the monomials v = (x0^2, x0 x1, x1^2) through a 4x3 map built once
@@ -397,17 +416,16 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
       w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
       lines are solved exactly.
-    - rank 2: the admissible x are the roots of the quadratic
-      det W^H (x (x) I) = 0, solved exactly; when it vanishes identically
-      the span is C^2 (x) y0 and is solved exactly.
+    - rank 2: V c, V the span's basis, is a product exactly when c^T L c = 0
+      for L_jl = _det_form(v_j, v_l); the two roots are the candidates, and
+      when L vanishes every input of the span is a product.
     - rank 1: the span's one ray.
 
     On a line of product vectors (a two-dimensional subspace) the best
     input is the top Takagi vector of the output determinant form.  Every
-    candidate is a product vector up to rounding; only the scans maximize
-    over a continuous family, from every local maximum of a grid, to the
-    grid's resolution.  The rank is the spec's ``rank``, the number of kept
-    inputs, and the columns of its ``span_basis`` after the first rank are W.
+    candidate is a product vector up to rounding, and only the rank-3 scan
+    stops at a grid's resolution.  The rank is the spec's ``rank``, the number
+    of kept inputs, and the columns of its ``span_basis`` after it are W.
     """
     u = spec.span_basis
     rank = spec.rank
@@ -415,17 +433,8 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
         return [u[:, 0]]
     # span vector -> output: B A^+
     image = spec.output_matrix() @ spec.span_map
-    eye = np.eye(2)
     if rank == 4:
-        # the images of x (x) |0> and x (x) |1>, as a linear map of x
-        columns = image.reshape(4, 2, 2).transpose(1, 0, 2).reshape(2, 8)
-
-        def score(xs):
-            out = (xs.T @ columns).reshape(-1, 4, 2)
-            return _image_scores(out[..., 0], out[..., 1])
-
-        x = _scan(score)
-        return [_best_in_span(image, np.kron(x[:, None], eye))]
+        return _full_span_witness(image)
     if rank == 3:
         wm = u[:, 3].reshape(2, 2)
         # wm is unit: s_min = |det| / s_max, s_max^2 = (1 + sqrt(1 - 4|det|^2)) / 2
@@ -435,6 +444,7 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
             # of the span are the lines p_perp (x) C^2, where every y is
             # admissible (the exceptional x), and C^2 (x) q_perp
             lu, _, lvh = np.linalg.svd(wm)
+            eye = np.eye(2)
             return [
                 _best_in_span(image, np.kron(lu[:, 1:], eye)),
                 _best_in_span(image, np.kron(eye, lvh[1:].T)),
@@ -451,28 +461,15 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
 
         x = _scan(score)
         return [(x[:, None] * (x @ follow)).ravel()]
-    # rank 2: M(x) = x0 r0 + x1 r1 with r_a[k, j] = conj(W[2a + j, k])
-    r0, r1 = u[:, 2:].conj().T.reshape(2, 2, 2).transpose(1, 0, 2)
-    q0 = np.linalg.det(r0)
-    q2 = np.linalg.det(r1)
-    q1 = np.linalg.det(r0 + r1) - q0 - q2
-    if max(abs(q0), abs(q1), abs(q2)) <= SEPARABLE_CUTOFF:
-        y0 = np.linalg.svd(u[:, :2].T.reshape(4, 2))[2][0]
-        return [_best_in_span(image, np.kron(eye, y0[:, None]))]
-    # roots (w, q0) and (q2, w) of q0 s^2 + q1 s + q2, s = x0 / x1, stably
+    v = u[:, :2]
+    lq = _det_form(v.T[:, None, :], v.T[None, :, :])
+    if np.abs(lq).max() <= SEPARABLE_CUTOFF:
+        return [_best_in_span(image, v)]
+    # roots (w, q0) and (q2, w) of q0 s^2 + q1 s + q2, s = c0 / c1, stably
+    q0, q1, q2 = lq[0, 0], 2.0 * lq[0, 1], lq[1, 1]
     disc = np.sqrt(q1 * q1 - 4.0 * q0 * q2)
     w = -(q1 + disc) / 2.0 if abs(q1 + disc) >= abs(q1 - disc) else -(q1 - disc) / 2.0
-    found = []
-    for root in (np.array([w, q0]), np.array([q2, w])):
-        length = np.linalg.norm(root)
-        if length == 0.0:
-            continue
-        x = root / length
-        # the root makes M(x) singular: keep at least its smallest direction
-        _, msv, mvh = np.linalg.svd(x[0] * r0 + x[1] * r1)
-        null = mvh[min(int(np.sum(msv > SEPARABLE_CUTOFF)), 1) :].conj().T
-        found.append(_best_in_span(image, np.kron(x[:, None], null)))
-    return found
+    return [v @ r / np.linalg.norm(r) for r in (np.array([w, q0]), np.array([q2, w])) if r.any()]
 
 
 def _stage_candidates_projected(spec: ProcessSpec, projector: np.ndarray) -> np.ndarray:
@@ -550,13 +547,12 @@ def find_entangling_witness(
     pairwise superpositions of the specified inputs and, on two qubits, the
     product states |+>|0> and |i>|i> when they lie within ``tol`` of the
     span.  The product-vector stage then searches the separable inputs of
-    the span directly: on two qubits by their A factor (a Bloch-sphere scan
-    with local refinement, plus the exceptional A factors solved exactly),
-    in other dimensions by alternating projection from the computational
-    basis, which is not exhaustive.  It is skipped when the canonical stage
-    already attains the maximal score of one, and its witness replaces the
-    canonical one only when its output entanglement is strictly higher;
-    within a stage earlier candidates break ties.  Each stage is scored once
+    the span directly: on two qubits exactly but for a Bloch-sphere scan on
+    rank-3 spans with an entangled complement, in other dimensions by
+    alternating projection from the computational basis (not exhaustive).
+    It is skipped when the canonical stage already scores one, and its
+    witness replaces the canonical one only when strictly higher; within a
+    stage earlier candidates break ties.  Each stage is scored once
     (_entanglement_scores), and one record is built for the winner.  A
     verdict whose completion does not fit ``spec`` raises RuntimeError.
     """

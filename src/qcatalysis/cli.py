@@ -638,8 +638,12 @@ def main(argv=None) -> int:
             if ns.output:
                 Path(ns.output).write_bytes(payload)
             else:
-                sys.stdout.buffer.write(payload)
-                sys.stdout.buffer.flush()
+                # a text-only stdout, such as io.StringIO, takes the decoded report
+                out = getattr(sys.stdout, "buffer", None)
+                if out is None:
+                    out, payload = sys.stdout, payload.decode("utf-8")
+                out.write(payload)
+                out.flush()
         except OSError as exc:
             if not ns.output:
                 _drop_stdout()

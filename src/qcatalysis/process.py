@@ -608,8 +608,8 @@ def output_density(
 
         rho = sum_ij c_i conj(c_j) <s_j|s_i> |b_i><b_j|
 
-    normalized to unit trace.  Pure (purity one) exactly when the
-    environment overlaps on the support of c are all one.
+    normalized to unit trace.  Pure (purity one) when the environment Gram
+    has rank one on the support of c: there the s_i differ by phases only.
     """
     if not verdict.is_realizable:
         raise ValueError("output_density needs a Realizable verdict")

@@ -317,7 +317,8 @@ def controlled_unitary_spec(seed: int) -> ProcessSpec:
     U_0 = I, and U_1 and the unit B states s_kj are drawn from ``seed``.  The
     A factor is returned untouched and every overlap is kept, so the process
     is a coherent catalysis; the four inputs span the whole space, so only
-    the rank-4 scan of the product-vector stage reaches its best witness.
+    the closed-form full-span witness of the product-vector stage reaches
+    its best.
     """
     rng = np.random.default_rng(seed)
     pairs = []
@@ -327,6 +328,24 @@ def controlled_unitary_spec(seed: int) -> ProcessSpec:
             s /= np.linalg.norm(s)
             pairs.append(tuple(PureState((2, 2), np.kron(np.eye(2)[k], t)) for t in (s, u @ s)))
     return ProcessSpec(2, 2, tuple(pairs))
+
+
+def reference_radius(unitary: np.ndarray) -> float:
+    """Best output concurrence of a product input under a two-qubit unitary.
+
+    In the magic basis e_1 = (|00> + |11>)/sqrt2, e_2 = i(|00> - |11>)/sqrt2,
+    e_3 = i(|01> + |10>)/sqrt2, e_4 = (|01> - |10>)/sqrt2 (Hill and Wootters,
+    PRL 78, 5022, 1997) the unitary reads M, and the best concurrence is the
+    radius of the smallest circle around the eigenvalues of M^T M, which lie
+    on the unit circle: 1 when no gap between neighbouring eigenvalue angles
+    exceeds pi (0 is inside their hull), else sin of half the largest gap
+    (the circle on the two ends of the arc that holds them all).
+    """
+    magic = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2.0)
+    m = magic.conj().T @ unitary @ magic
+    angles = np.sort(np.angle(np.linalg.eigvals(m.T @ m)))
+    gap = np.diff(angles, append=angles[0] + 2.0 * math.pi).max()
+    return 1.0 if gap <= math.pi else math.sin(gap / 2.0)
 
 
 def undetermined_cycle_spec() -> ProcessSpec:

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -316,8 +318,8 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_check_controlled_unitary_file_matches_golden_report(self, fmt, tmp_path, monkeypatch):
-        # four inputs span the two qubits, so the rank-4 scan decides this
-        # witness; the canonical stage's best is only about 0.71
+        # four inputs span the two qubits, so the closed-form full-span
+        # witness decides this one; the canonical stage's best is only about 0.71
         name = "controlled-unitary.spec.json"
         save_process_spec(controlled_unitary_spec(4), tmp_path / name)
         monkeypatch.chdir(tmp_path)
@@ -548,6 +550,14 @@ class TestMainEntryPoint:
             assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
         err = capsys.readouterr().err
         assert err == f"qcatalysis: cannot write report to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_text_only_stdout_takes_the_decoded_report(self, fmt):
+        # a caller's io.StringIO has no binary buffer to write the bytes to
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["run", "cloning", "--format", fmt]) == EXIT_PASS
+        assert out.getvalue() == golden_report("cloning", fmt).decode("utf-8")
 
     @pytest.mark.parametrize("where", ["full-disk", "closed-pipe"])
     def test_unwritable_stdout_exits_73_in_a_fresh_interpreter(self, where):

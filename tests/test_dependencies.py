@@ -78,7 +78,8 @@ def test_verdicts_load_no_scan_kernels():
 
 
 def test_scan_tables_are_built_on_the_first_scan():
-    # no built-in scenario scans; a rotated deletion's witness needs the scan
+    # no built-in scenario scans, nor does a full span's closed-form witness;
+    # a rotated deletion's witness needs the scan
     code = (
         "import sys\n"
         f"sys.path.insert(0, {TESTS!r})\n"
@@ -87,6 +88,9 @@ def test_scan_tables_are_built_on_the_first_scan():
         "for name in cli.SCENARIOS:\n"
         "    assert cli.run_scenario(name, cli.RunConfig())[1] == 0, name\n"
         "print(analyzer._scan_tables.cache_info().misses)\n"
+        "from helpers import controlled_unitary_spec\n"
+        "assert qcatalysis.classify(controlled_unitary_spec(4)).witness is not None\n"
+        "print(analyzer._scan_tables.cache_info().misses)\n"
         "from test_witness_search import rotated_deletion_spec\n"
         "assert qcatalysis.classify(rotated_deletion_spec(3)).witness is not None\n"
         "info = analyzer._scan_tables.cache_info()\n"
@@ -94,7 +98,7 @@ def test_scan_tables_are_built_on_the_first_scan():
     )
     result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "1", "1"]
+    assert result.stdout.split() == ["0", "0", "1", "1"]
 
 
 def test_cli_loads_logging_only_for_an_internal_error():

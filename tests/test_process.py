@@ -557,6 +557,22 @@ class TestOutputDensity:
         np.testing.assert_allclose(rho.matrix, np.outer(pure, pure.conj()), atol=1e-9)
         assert rho.purity() == pytest.approx(1.0)
 
+    def test_rank_one_environment_gram_keeps_the_output_pure(self):
+        # re-phased cloning outputs: the environment states differ by phases,
+        # so the completed Gram has rank one without being all ones
+        spec = cloning_process()
+        phases = np.exp(1j * np.array([0.0, 0.7, 2.1]))
+        spec = ProcessSpec(2, 2, tuple(
+            (a, PureState(b.dims, p * b.vector)) for (a, b), p in zip(spec.pairs, phases)
+        ))
+        verdict = decide_feasibility(spec)
+        gram = verdict.completed_gram
+        assert np.abs(gram - 1.0).max() > 0.5
+        assert np.linalg.eigvalsh(gram)[-2] == pytest.approx(0.0, abs=1e-12)
+        total = spec.input_matrix() @ np.array([1.0, 0.3, 0.5j])
+        rho = output_density(spec, verdict, PureState((2, 2), total / np.linalg.norm(total)))
+        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+
     def test_orthogonal_environments_decohere(self):
         # two orthogonal inputs, identical outputs living in orthogonal
         # environment branches: the superposition decoheres to purity 1/2

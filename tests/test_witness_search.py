@@ -27,7 +27,13 @@ from qcatalysis import (
     schmidt_coefficients,
 )
 
-from helpers import controlled_unitary_spec, random_unitary, reference_scan, two_record_witness
+from helpers import (
+    controlled_unitary_spec,
+    random_unitary,
+    reference_radius,
+    reference_scan,
+    two_record_witness,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -186,11 +192,11 @@ def test_local_unitaries_keep_the_best_witness(seed):
     assert rotated == pytest.approx(best, abs=1e-8)
 
 
-def turned_rank3_specs(seed: int) -> tuple[ProcessSpec, ProcessSpec]:
-    """A random coherent rank-3 spec a_i -> U a_i, then the same spec with its
-    inputs turned by U_A (x) U_B and its outputs by U_A (x) V_B."""
+def turned_specs(seed: int, rank: int = 3) -> tuple[ProcessSpec, ProcessSpec]:
+    """A random coherent spec a_i -> U a_i of ``rank`` inputs, then the same spec
+    with its inputs turned by U_A (x) U_B and its outputs by U_A (x) V_B."""
     rng = np.random.default_rng(seed)
-    inputs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    inputs = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     unitary = random_unitary(rng, 4)
     ua, ub, vb = (random_unitary(rng, 2) for _ in range(3))
     turn_in, turn_out = np.kron(ua, ub), np.kron(ua, vb)
@@ -207,9 +213,19 @@ def test_local_unitaries_keep_the_best_witness_on_rank3_spans(seed):
     # 4.7e-3 that the multi-start prevents
     plain, turned = (
         find_entangling_witness(spec, decide_feasibility(spec)).concurrence_out
-        for spec in turned_rank3_specs(seed)
+        for spec in turned_specs(seed)
     )
     assert turned == pytest.approx(plain, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(800, 860))
+def test_local_unitaries_keep_the_best_witness_on_full_spans(seed):
+    # the closed form reads the spectrum of m, which local unitaries keep
+    plain, turned = (
+        find_entangling_witness(spec, decide_feasibility(spec)).concurrence_out
+        for spec in turned_specs(seed, rank=4)
+    )
+    assert turned == pytest.approx(plain, abs=1e-12)
 
 
 def test_exceptional_line_witness():
@@ -243,6 +259,103 @@ def test_full_span_witness_beats_random_products():
     conc = 2.0 * np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
     conc = conc / np.sum(np.abs(out) ** 2, axis=1)
     assert w.concurrence_out >= conc.max() - 1e-9
+
+
+def locally_turned_spec(rng: np.random.Generator, unitary: np.ndarray) -> ProcessSpec:
+    """Four random inputs and the unitary between random local unitaries."""
+    before, after = (np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) for _ in range(2))
+    inputs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return coherent_spec(inputs, after @ unitary @ before)
+
+
+SWAP = np.eye(4)[:, [0, 2, 1, 3]]
+CNOT = np.eye(4)[:, [0, 1, 3, 2]]
+SQRT_SWAP = np.eye(4, dtype=np.complex128)
+SQRT_SWAP[1:3, 1:3] = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2.0
+
+
+def haar_full_spans(count: int) -> list[ProcessSpec]:
+    rng = np.random.default_rng(33)
+    return [
+        coherent_spec(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), random_unitary(rng, 4))
+        for _ in range(count)
+    ]
+
+
+FULL_SPAN_FAMILIES = {
+    "controlled-unitary": lambda: [controlled_unitary_spec(seed) for seed in range(40)],
+    "haar": lambda: haar_full_spans(200),
+    "cnot-class": lambda: [locally_turned_spec(np.random.default_rng(34 + k), CNOT) for k in range(100)],
+    "sqrt-swap-class": lambda: [locally_turned_spec(np.random.default_rng(234 + k), SQRT_SWAP) for k in range(100)],
+}
+
+
+# u^T DET u = 2(u0 u3 - u1 u2), whose modulus is the concurrence of a unit u
+DET = np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0]))
+
+
+def best_over_a_factors(spec: ProcessSpec, xs: np.ndarray) -> np.ndarray:
+    """Top output concurrence over x (x) C^2 on a full span (plain Takagi), per row x."""
+    bases = xs[:, :, None, None] * np.eye(2)[None, None, :, :]  # (N, 2, 2, 2): x_a e_b
+    images = spec.output_matrix() @ np.linalg.solve(spec.input_matrix(), bases.reshape(-1, 4, 2))
+    q = np.linalg.qr(images)[0]
+    return np.linalg.svd(q.transpose(0, 2, 1) @ DET @ q, compute_uv=False)[:, 0]
+
+
+@pytest.mark.parametrize("family", sorted(FULL_SPAN_FAMILIES))
+def test_full_span_witness_is_the_reference_radius(family):
+    # the best witness of a full span is the radius of the smallest circle
+    # around the spectrum of m, reached by the closed form's one candidate;
+    # CNOT and sqrt(SWAP) are perfect entanglers with repeated eigenvalues
+    rng = np.random.default_rng(35)
+    for spec in FULL_SPAN_FAMILIES[family]():
+        radius = reference_radius(spec.output_matrix() @ np.linalg.inv(spec.input_matrix()))
+        if family in ("cnot-class", "sqrt-swap-class"):
+            assert radius == pytest.approx(1.0, abs=1e-12)
+        (candidate,) = analyzer._stage_candidates_2x2(spec)
+        assert concurrence(PureState((2, 2), candidate / np.linalg.norm(candidate))) <= 1e-12
+        assert abs(output_concurrences(spec, candidate[None])[0] - radius) <= 1e-12
+        verdict = decide_feasibility(spec)
+        w = find_entangling_witness(spec, verdict)
+        assert_sound(spec, verdict, w)
+        assert w.concurrence_in <= 1e-12
+        assert abs(w.concurrence_out - radius) <= 1e-12
+        xs = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
+        assert w.concurrence_out >= best_over_a_factors(spec, xs).max() - 1e-13
+
+
+@pytest.mark.parametrize("core", ["identity", "swap"])
+def test_local_maps_have_no_full_span_candidate(core):
+    # only local and local∘SWAP unitaries keep every product a product
+    rng = np.random.default_rng(36)
+    for _ in range(100):
+        spec = locally_turned_spec(rng, {"identity": np.eye(4), "swap": SWAP}[core])
+        assert analyzer._stage_candidates_2x2(spec) == []
+        assert find_entangling_witness(spec, decide_feasibility(spec)) is None
+
+
+def product_line_spec(rng: np.random.Generator, side: str) -> ProcessSpec:
+    """Two random inputs on the line x (x) C^2 (``side`` "a") or C^2 (x) y ("b")
+    for a random x or y, sent through a Haar unitary."""
+    fixed = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    free = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    inputs = np.kron(fixed, free) if side == "a" else np.kron(free, fixed)
+    return coherent_spec(inputs, random_unitary(rng, 4))
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_product_line_spans_reach_their_best_witness(side):
+    # every input of the span is a product, so the best witness is the top
+    # singular value of the determinant form on the orthonormalized outputs
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        spec = product_line_spec(rng, side)
+        q = np.linalg.qr(spec.output_matrix())[0]
+        best = np.linalg.svd(q.T @ DET @ q, compute_uv=False)[0]
+        verdict = decide_feasibility(spec)
+        w = find_entangling_witness(spec, verdict)
+        assert_sound(spec, verdict, w)
+        assert w.concurrence_out == pytest.approx(best, abs=1e-12)
 
 
 def output_concurrences(spec: ProcessSpec, inputs: np.ndarray) -> np.ndarray:
@@ -281,33 +394,18 @@ def scan_score(spec: ProcessSpec, monkeypatch):
     return seen[0]
 
 
-def best_over_a_factor(spec: ProcessSpec, x: np.ndarray) -> float:
-    """Top output concurrence over x (x) C^2 on a full span (plain Takagi)."""
-    basis = np.kron(x[:, None], np.eye(2))
-    image = spec.output_matrix() @ np.linalg.solve(spec.input_matrix(), basis)
-    q = np.linalg.qr(image)[0]
-    det = np.zeros((4, 4))
-    det[0, 3] = det[3, 0] = 1.0
-    det[1, 2] = det[2, 1] = -1.0
-    return float(np.linalg.svd(q.T @ det @ q, compute_uv=False)[0])
-
-
-@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("rank", [3])
 def test_scan_score_is_the_output_concurrence(rank, monkeypatch):
     rng = np.random.default_rng(100 + rank)
     for _ in range(4):
         inputs = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
         spec = coherent_spec(inputs, random_unitary(rng, 4))
-        if rank == 3:
-            w = spec.span_basis[:, 3].reshape(2, 2)
-            assert np.linalg.svd(w, compute_uv=False)[-1] > 1e-3  # entangled complement
+        w = spec.span_basis[:, 3].reshape(2, 2)
+        assert np.linalg.svd(w, compute_uv=False)[-1] > 1e-3  # entangled complement
         score = scan_score(spec, monkeypatch)
         xs = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
         xs /= np.linalg.norm(xs, axis=1)[:, None]
-        if rank == 3:
-            want = output_concurrences(spec, span_products(spec, xs))
-        else:
-            want = np.array([best_over_a_factor(spec, x) for x in xs])
+        want = output_concurrences(spec, span_products(spec, xs))
         lam = complex(rng.standard_normal(), rng.standard_normal())
         for batch in (xs.T, lam * xs.T):
             np.testing.assert_allclose(score(batch), want, rtol=0, atol=1e-12)
@@ -464,13 +562,12 @@ SCAN_FAMILIES = {
     "deletion": lambda: random_residue_deletions(20),
     "rotated-deletion": lambda: [rotated_deletion_spec(seed) for seed in range(20)],
     "rank3-family": lambda: RANK3_FAMILY,
-    "controlled-unitary": lambda: [controlled_unitary_spec(seed) for seed in range(40)],
 }
 
 
 @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
 def test_scan_returns_the_reference_loop_spinor_bit_for_bit(family, monkeypatch):
-    # the controlled-unitary specs reach the rank-4 score, the others the rank-3 one
+    # every family reaches the rank-3 score, the only one that is scanned
     for spec in SCAN_FAMILIES[family]():
         score = scan_score(spec, monkeypatch)
         assert np.array_equal(analyzer._scan(score), reference_scan(score))
