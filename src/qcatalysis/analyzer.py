@@ -62,22 +62,16 @@ NOT_CATALYSIS = "not_catalysis"
 SEPARABLE_CUTOFF = 1e-9
 WITNESS_CUTOFF = 1e-6
 
-# the A-factor scan: a Fibonacci lattice on the Bloch sphere (spacing about
-# 0.08 rad), then rounds of a local grid around each of its best local maxima
-# whose first step, in the tangent plane of the spinor, spans about one
-# lattice spacing; a later start wins only by more than _START_MARGIN, as
-# refined scores of equal peaks differ by up to about 1e-11
+# the A-factor scan: a Fibonacci lattice on the Bloch sphere (spacing about 0.08
+# rad), then a Newton ascent from each of its best local maxima: at most
+# _ASCENT_EVALS scores, a first trust radius of about one lattice spacing, a last
+# step below _ASCENT_STOP; a later start wins only by more than _START_MARGIN
 _GRID_POINTS = 2048
 _MAX_STARTS = 8
 _START_MARGIN = 1e-9
-_REFINE_STEP = 0.04
-_REFINE_ROUNDS = 5
-_REFINE_SHRINK = 6.0
-_REFINE_OFFSETS = (
-    np.linspace(-1.0, 1.0, 9)[:, None] + 1j * np.linspace(-1.0, 1.0, 9)[None, :]
-).ravel()
-# the columns conj(x[::-1]) * _TANGENT_SIGNS are orthogonal to the columns x
-_TANGENT_SIGNS = np.array([[-1.0], [1.0]])
+_ASCENT_EVALS = 40
+_ASCENT_RADIUS = 0.1
+_ASCENT_STOP = 1e-10
 
 # alternating projections per start in the search for other dimensions
 _PROJECTION_STEPS = 200
@@ -265,6 +259,8 @@ def _spinor_grid(count: int) -> np.ndarray:
 _MONO_LEFT = np.array([0, 0, 1])
 _MONO_RIGHT = np.array([0, 1, 1])
 _QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+_PAIR_LEFT, _PAIR_RIGHT = np.triu_indices(3, 1)
+_QUARTIC_POWERS = np.arange(5)[:, None]
 
 
 def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
@@ -289,17 +285,31 @@ def _grid_neighbours(grid: np.ndarray) -> np.ndarray:
     return np.arange(n) + np.array(fib + [-f for f in fib])[order]
 
 
+def _spinor_tables(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quartics x0^(4-k) x1^k (5, N) of a (2, N) batch of spinors, and the
+    real features (9, N) of their monomials v: |v_a|^2, Re and Im conj(v_a) v_b, a < b."""
+    v = xs[_MONO_LEFT] * xs[_MONO_RIGHT]
+    cross = v[_PAIR_LEFT].conj() * v[_PAIR_RIGHT]
+    quartic = xs[0] ** (4 - _QUARTIC_POWERS) * xs[1] ** _QUARTIC_POWERS
+    return quartic, np.vstack([(v.conj() * v).real, cross.real, cross.imag])
+
+
+def _quartic_scores(c: np.ndarray, gram: np.ndarray, quartic: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """2|p| / h per column of _spinor_tables: p = c @ quartic, h = v^H gram v."""
+    upper = gram[_PAIR_LEFT, _PAIR_RIGHT]
+    weights = np.concatenate([gram.diagonal().real, 2.0 * upper.real, -2.0 * upper.imag])
+    return 2.0 * np.abs(c @ quartic) / np.maximum(weights @ feats, 1e-300)
+
+
 @functools.cache
-def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spinor grid, its neighbour table and, per refinement round r, the
-    local grid _REFINE_OFFSETS * _REFINE_STEP / _REFINE_SHRINK**r; read-only.
+def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The spinor grid, its neighbour table and its _spinor_tables; read-only.
 
     Built on the first rank-3 scan, so that a process that never scans
-    never pays for them (0.17 MB, a few ms).
+    never pays for them (0.48 MB, a few ms).
     """
     grid = _spinor_grid(_GRID_POINTS)
-    steps = _REFINE_STEP / _REFINE_SHRINK ** np.arange(_REFINE_ROUNDS)
-    tables = (grid, _grid_neighbours(grid), steps[:, None] * _REFINE_OFFSETS)
+    tables = (grid, _grid_neighbours(grid), *_spinor_tables(grid))
     for m in tables:
         m.setflags(write=False)
     return tables
@@ -369,35 +379,66 @@ def _full_span_witness(image: np.ndarray) -> list[np.ndarray]:
     return [np.sqrt(weights[best] * (w - centres[best]).conj()) @ (_MAGIC @ o).T]
 
 
-def _scan(score) -> np.ndarray:
-    """Unit spinor x maximizing ``score``: grid peaks, then shrinking local grids.
+def _score_terms(c: list, g: list, z: complex) -> tuple[float, complex, complex, float]:
+    """2|p| / h at x = (1, z) and f_z, f_zz, f_zzbar of f = log(|p| / h), all 0 where p = 0.
 
-    ``score`` maps a (2, N) batch of column spinors to N scores and does not
-    change under x -> lambda x, so no candidate is normalized.  It scores the
-    spinor grid first; the starts are the grid's local maxima (no lower than
-    their six nearest neighbours), best first, at most _MAX_STARTS, refined
-    together in one batch: each round scores a 9x9 grid x + t x_perp in the
-    tangent plane of every start and moves each to its best point, the first
-    on a tie; the next round's grid spans a little more than one cell of this
-    one.  x_perp has the norm of x, so the points are carried unnormalized
-    (their norm grows by under 0.2 %) and only the returned one is
-    normalized.  The first start that ends within _START_MARGIN of the best
-    one wins.
+    p = sum_k c_k z^k; h = v^H g v = u @ v, v = (1, z, z^2), u = conj(v)^T g; log|p| is
+    harmonic, so only h reaches f_zzbar."""
+    p = (((c[4] * z + c[3]) * z + c[2]) * z + c[1]) * z + c[0]
+    if p == 0:
+        return 0.0, 0j, 0j, 0.0
+    ratio = (((4.0 * c[4] * z + 3.0 * c[3]) * z + 2.0 * c[2]) * z + c[1]) / p
+    curve = ((12.0 * c[4] * z + 6.0 * c[3]) * z + 2.0 * c[2]) / p
+    w = z.conjugate()
+    u0, u1, u2 = (g[0][k] + w * (g[1][k] + w * g[2][k]) for k in range(3))
+    h = (u0 + z * (u1 + z * u2)).real
+    e = (u1 + 2.0 * z * u2) / h
+    mixed = (g[1][1].real + 4.0 * (g[1][2] * z).real + 4.0 * g[2][2].real * (z * w).real) / h
+    return 2.0 * abs(p) / h, ratio / 2.0 - e, (curve - ratio * ratio) / 2.0 - 2.0 * u2 / h + e * e, abs(e) ** 2 - mixed
+
+
+def _ascend(c: np.ndarray, gram: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Trust-region Newton ascent of log(|p| / h) from the spinor x: (score, spinor).
+
+    In the chart x = (1, z), or x = (z, 1) with c and gram reversed, where |z| <= 1 at
+    the start.  With a = f_z, A = f_zz and B = f_zzbar, the step is Newton's,
+    (conj(A) a - B conj(a)) / (B^2 - |A|^2), where the real Hessian is negative definite
+    (B < -|A|), else the gradient 2 conj(a), clipped to the trust radius; a step that
+    lowers the score is not taken and quarters the radius.
     """
-    grid, neighbours, rounds = _scan_tables()
-    grid_scores = score(grid)
-    peaks = (grid_scores >= grid_scores[neighbours].max(axis=0)).nonzero()[0]
-    peaks = peaks[(-grid_scores[peaks]).argsort(kind="stable")[:_MAX_STARTS]]
-    x = grid[:, peaks]
-    starts = np.arange(len(peaks))
-    for offsets in rounds:
-        perp = x[::-1].conj() * _TANGENT_SIGNS
-        cand = x[:, :, None] + perp[:, :, None] * offsets
-        scores = score(cand.reshape(2, -1)).reshape(len(starts), -1)
-        best = scores.argmax(axis=1)
-        x = cand[:, starts, best]
-    final = scores[starts, best]
-    x = x[:, int((final >= final.max() - _START_MARGIN).argmax())]
+    flip = abs(x[1]) > abs(x[0])
+    c, g = (c[::-1], gram[::-1, ::-1]) if flip else (c, gram)
+    c, g, z = c.tolist(), g.tolist(), complex(x[0] / x[1] if flip else x[1] / x[0])
+    (score, a, aa, b), radius = _score_terms(c, g, z), _ASCENT_RADIUS
+    for _ in range(_ASCENT_EVALS - 1):
+        newton = b < -abs(aa)
+        step = (aa.conjugate() * a - b * a.conjugate()) / (b * b - abs(aa) ** 2) if newton else 2.0 * a.conjugate()
+        length = min(abs(step), radius)
+        if length <= _ASCENT_STOP:
+            break
+        step *= length / abs(step)
+        trial = _score_terms(c, g, z + step)
+        if trial[0] >= score:
+            z, (score, a, aa, b) = z + step, trial
+            radius = max(radius, 2.0 * length)
+        else:
+            radius = length / 4.0
+    return score, np.array([z, 1.0] if flip else [1.0, z])
+
+
+def _scan(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Unit spinor x maximizing 2|p(x)| / h(x) (_quartic_scores), which x -> lambda x keeps.
+
+    The grid's local maxima (no lower than their six nearest neighbours), best first,
+    at most _MAX_STARTS, each start an _ascend; the first that ends within
+    _START_MARGIN of the best one wins.
+    """
+    grid, neighbours, quartic, feats = _scan_tables()
+    scores = _quartic_scores(c, gram, quartic, feats)
+    peaks = (scores >= scores[neighbours].max(axis=0)).nonzero()[0]
+    peaks = peaks[(-scores[peaks]).argsort(kind="stable")[:_MAX_STARTS]]
+    final, ends = zip(*(_ascend(c, gram, grid[:, k]) for k in peaks.tolist()))
+    x = ends[next(i for i, score in enumerate(final) if score >= max(final) - _START_MARGIN)]
     return x / math.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
 
 
@@ -411,8 +452,9 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
     - rank 3, complement vector w entangled: y(x) is unique for every x,
       and x is scanned.  The image of x (x) y(x) is o = mono @ v, linear in
       the monomials v = (x0^2, x0 x1, x1^2) through a 4x3 map built once
-      per call, and x scores the concurrence 2|o0 o3 - o1 o2| / |o|^2 of
-      that image, which does not change under x -> lambda x.
+      per call; x scores its concurrence 2|o0 o3 - o1 o2| / |o|^2, the
+      quartic v^T D v / 2 (D_ab = _det_form of mono's columns a, b) over
+      v^H G v, G = mono^H mono.
     - rank 3, w = p (x) q a product: at the exceptional x = p_perp, where
       w^H (x (x) I) = 0, every y is admissible; elsewhere y = q_perp.  Both
       lines are solved exactly.
@@ -423,8 +465,8 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
 
     On a line of product vectors (a two-dimensional subspace) the best
     input is the top Takagi vector of the output determinant form.  Every
-    candidate is a product vector up to rounding, and only the rank-3 scan
-    stops at a grid's resolution.  The rank is the spec's ``rank``, the number
+    candidate is a product vector up to rounding; the rank-3 scan ends on
+    the best local maximum that its grid finds.  The rank is the spec's ``rank``, the number
     of kept inputs, and the columns of its ``span_basis`` after it are W.
     """
     u = spec.span_basis
@@ -455,11 +497,9 @@ def _stage_candidates_2x2(spec: ProcessSpec) -> list[np.ndarray]:
         quad = image.reshape(4, 2, 2) @ follow.T
         mono = np.stack([quad[:, 0, 0], quad[:, 0, 1] + quad[:, 1, 0], quad[:, 1, 1]], axis=1)
 
-        def score(xs):
-            o = mono @ (xs[_MONO_LEFT] * xs[_MONO_RIGHT])
-            return 2.0 * np.abs(o[0] * o[3] - o[1] * o[2]) / np.maximum((np.abs(o) ** 2).sum(axis=0), 1e-300)
-
-        x = _scan(score)
+        d = _det_form(mono.T[:, None, :], mono.T[None, :, :])
+        c = np.array([d[0, 0] / 2.0, d[0, 1], d[0, 2] + d[1, 1] / 2.0, d[1, 2], d[2, 2] / 2.0])
+        x = _scan(c, mono.conj().T @ mono)
         return [(x[:, None] * (x @ follow)).ravel()]
     v = u[:, :2]
     lq = _det_form(v.T[:, None, :], v.T[None, :, :])
@@ -547,9 +587,9 @@ def find_entangling_witness(
     pairwise superpositions of the specified inputs and, on two qubits, the
     product states |+>|0> and |i>|i> when they lie within ``tol`` of the
     span.  The product-vector stage then searches the separable inputs of
-    the span directly: on two qubits exactly but for a Bloch-sphere scan on
-    rank-3 spans with an entangled complement, in other dimensions by
-    alternating projection from the computational basis (not exhaustive).
+    the span directly: on two qubits exactly, but on rank-3 spans with an
+    entangled complement by Newton ascents from a Bloch-sphere grid's peaks;
+    in other dimensions by alternating projection (not exhaustive).
     It is skipped when the canonical stage already scores one, and its
     witness replaces the canonical one only when strictly higher; within a
     stage earlier candidates break ties.  Each stage is scored once

@@ -383,11 +383,27 @@ def batched_protocol_figures(name: str, seed: int) -> tuple[float, float | None,
     return float(fids.min()), prob_err, float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
 
 
-def reference_scan(score) -> np.ndarray:
-    """analyzer._scan as a plain loop that shrinks its step each round.
+# the shrinking-grid refinement of the rank-3 scan's starts, a lower bound
+# that its Newton ascent must reach: rounds of a 9x9 local grid in the
+# tangent plane of each start
+REFERENCE_STEP = 0.04
+REFERENCE_ROUNDS = 5
+REFERENCE_SHRINK = 6.0
+REFERENCE_OFFSETS = (
+    np.linspace(-1.0, 1.0, 9)[:, None] + 1j * np.linspace(-1.0, 1.0, 9)[None, :]
+).ravel()
+# the columns conj(x[::-1]) * REFERENCE_TANGENT_SIGNS are orthogonal to the columns x
+REFERENCE_TANGENT_SIGNS = np.array([[-1.0], [1.0]])
 
-    The same grid, neighbour table, starts, rounds and tie rules; the scan
-    must return this spinor bit for bit.
+
+def reference_scan(score) -> np.ndarray:
+    """The unit spinor of the grid refinement, a lower bound on analyzer._scan.
+
+    ``score`` maps a (2, N) batch of column spinors to N scores.  The same
+    grid, neighbour table and starts as the scan, then per round a 9x9 grid
+    x + t x_perp around every start, each moving to its best point (the
+    first on a tie) with the step shrunk by REFERENCE_SHRINK per round; the
+    first start within analyzer._START_MARGIN of the best one wins.
     """
     grid, neighbours = analyzer._scan_tables()[:2]
     grid_scores = score(grid)
@@ -395,14 +411,14 @@ def reference_scan(score) -> np.ndarray:
     peaks = peaks[np.argsort(-grid_scores[peaks], kind="stable")[: analyzer._MAX_STARTS]]
     x = grid[:, peaks]
     starts = np.arange(len(peaks))
-    step = analyzer._REFINE_STEP
-    for _ in range(analyzer._REFINE_ROUNDS):
-        perp = x[::-1].conj() * analyzer._TANGENT_SIGNS
-        cand = x[:, :, None] + perp[:, :, None] * (step * analyzer._REFINE_OFFSETS)
+    step = REFERENCE_STEP
+    for _ in range(REFERENCE_ROUNDS):
+        perp = x[::-1].conj() * REFERENCE_TANGENT_SIGNS
+        cand = x[:, :, None] + perp[:, :, None] * (step * REFERENCE_OFFSETS)
         scores = score(cand.reshape(2, -1)).reshape(len(starts), -1)
         best = np.argmax(scores, axis=1)
         x = cand[:, starts, best]
-        step /= analyzer._REFINE_SHRINK
+        step /= REFERENCE_SHRINK
     final = scores[starts, best]
     x = x[:, int(np.argmax(final >= final.max() - analyzer._START_MARGIN))]
     return x / math.sqrt(abs(x[0]) ** 2 + abs(x[1]) ** 2)
