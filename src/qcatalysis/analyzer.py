@@ -34,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import (
-    EnvironmentsDifferError,
     FeasibilityVerdict,
     ProcessSpec,
-    _check_completion,
-    _coherent_gram_check,
+    _coherent,
+    _realized,
     apply_process,
     decide_feasibility,
 )
@@ -593,14 +592,10 @@ def find_entangling_witness(
     It is skipped when the canonical stage already scores one, and its
     witness replaces the canonical one only when strictly higher; within a
     stage earlier candidates break ties.  Each stage is scored once
-    (_entanglement_scores), and one record is built for the winner.  A
-    verdict whose completion does not fit ``spec`` raises RuntimeError.
+    (_entanglement_scores), and one record is built for the winner.  The
+    verdict must pass process's ``_realized`` as coherent.
     """
-    if not verdict.is_realizable:
-        raise ValueError("witness search needs a Realizable verdict")
-    if not _coherent_gram_check(verdict, tol):
-        raise EnvironmentsDifferError()
-    _check_completion(spec, verdict, tol)
+    _realized(spec, verdict, tol, "witness search", coherent=True)
     span_map = spec.span_map
     best = _stage_best(spec, _stage_candidates_canonical(spec, span_map, tol))
     if best is None or best[3] < 1.0 - 1e-12:
@@ -623,15 +618,16 @@ def classify(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> CatalysisReport:
     """Full catalysis verdict for a specified process.
 
     Infeasible or undetermined feasibility, or a disturbed catalyst, gives
-    NotCatalysis with the reason.  Otherwise a witness search runs when
-    the environment overlaps are all one; absence of a witness is reported
-    as such and never promoted to a claim of classical catalysis, and
-    carries no reason.  Dependent inputs are searched like independent ones.
+    NotCatalysis with the reason.  Otherwise a witness search runs when the
+    environment overlaps are all one (``_coherent``, which sets
+    ``coherence_preserving``); absence of a witness is reported as such and
+    never promoted to a claim of classical catalysis, and carries no reason.
+    Dependent inputs are searched like independent ones.
     """
     verdict = decide_feasibility(spec, tol)
     pair_reports, bob_flag = _catalyst_checks(spec, tol)
     intact = all(p.intact for p in pair_reports)
-    coherent = verdict.is_realizable and _coherent_gram_check(verdict, tol)
+    coherent = verdict.is_realizable and _coherent(verdict.completed_gram, tol)
 
     witness = None
     reason = None

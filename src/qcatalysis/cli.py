@@ -56,6 +56,8 @@ EXIT_INTERNAL = 70
 EXIT_CANTCREAT = 73
 
 _PROTOCOL_INPUTS = 100
+# a sweep's time and report size grow linearly with its steps
+_MAX_STEPS = 4096
 # _fmt's 12 decimals move a unit vector's norm by up to sqrt(2 * MAX_DIM) * 5e-13
 _NORM_FLOOR = 1e-10
 
@@ -95,8 +97,8 @@ class RunConfig:
             raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if self.format not in ("json", "text"):
             raise UsageError(f"format must be 'json' or 'text', got {self.format!r}")
-        if self.steps < 2:
-            raise UsageError(f"steps must be at least 2, got {self.steps}")
+        if not 2 <= self.steps <= _MAX_STEPS:
+            raise UsageError(f"steps must be between 2 and {_MAX_STEPS}, got {self.steps}")
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ class ProcessSpec:
     built where first needed, cached, on the earliest independent inputs:
     input i is kept when the Gram matrix of i and the inputs kept before it
     has its smallest eigenvalue above DEFAULT_TOL, whatever tolerance a call
-    is given.  An independent family keeps every input after one eigenvalue
-    check of its whole Gram matrix; only one that fails it walks its inputs.
+    is given.  By Cauchy interlacing, a family whose whole Gram matrix
+    passes keeps every input.
     """
 
     dim_a: int
@@ -142,12 +142,10 @@ class ProcessSpec:
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray, int]:
         a, _, g_in, _ = self._arrays
-        kept = list(range(self.n))
-        if np.linalg.eigvalsh(g_in)[0] <= DEFAULT_TOL:
-            kept = []
-            for i in range(self.n):
-                if np.linalg.eigvalsh(g_in[np.ix_(kept + [i], kept + [i])])[0] > DEFAULT_TOL:
-                    kept.append(i)
+        kept = []
+        for i in range(self.n):
+            if np.linalg.eigvalsh(g_in[np.ix_(kept + [i], kept + [i])])[0] > DEFAULT_TOL:
+                kept.append(i)
         rank = len(kept)
         q, r = np.linalg.qr(a[:, kept], mode="complete")
         span_map = np.zeros((self.n, a.shape[0]), dtype=np.complex128)
@@ -407,9 +405,10 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
     No search is involved.  The pattern is decided by the first rule that
     applies:
 
-    - Coherent: every determined off-diagonal overlap lies within ``tol``
-      of one, or none is determined.  Every free entry is set to one, the
-      completion under which the process acts coherently on superpositions.
+    - Coherent (``_coherent``, which ``_realized`` reads too): every
+      determined off-diagonal overlap lies within ``tol`` of one, or none is
+      determined; the diagonal is not read.  Every free entry is set to one,
+      the completion under which the process acts coherently on superpositions.
     - Chordal: by Grone, Johnson, Sa and Wolkowicz (Linear Algebra Appl. 58,
       1984) a completion exists exactly when every fully determined clique
       is PSD.  The free entries are filled one at a time, keeping the
@@ -439,10 +438,8 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
     # free entries start at one; every rule below reads determined entries
     # only until it has filled the free ones
     g = np.where(eg.known, eg.values, 1.0)
-    deviation = np.abs(g - 1.0)
-    deviation.flat[:: eg.n + 1] = 0.0  # the diagonal is one to 1e-12, whatever tol
     cliques = []  # fully determined blocks whose eigenvalues certify a failed check
-    if not (deviation <= tol).all():
+    if not _coherent(g, tol):
         known = np.array(eg.known)
         cliques = walk = _order_cliques(known)
         if cliques is None and eg.n == 4:
@@ -504,20 +501,17 @@ def construct_isometry(
     """Explicit unitary on A(x)B(x)E realizing a Realizable verdict.
 
     The environment has dimension r = rank(completed Gram); the unitary
-    sends a_i (x) e0 to b_i (x) s_i, the columns of Y.  ``tol`` bounds the
-    mismatch of the input and dressed-output Gram matrices, never the span,
+    sends a_i (x) e0 to b_i (x) s_i, the columns of Y.  Past ``_realized``,
+    ``tol`` bounds the mismatch of the input and dressed-output Gram matrices,
+    which the rank cut of ``environment_vectors`` can open, never the span,
     which is ProcessSpec's.  With Q_1 the first ``rank`` columns of the
     spec's ``span_basis``, a_i (x) e0 = (Q_1 (x) e0) Q_1^H a_i, so the columns
     Q_1 (x) e0 go to Y A^+ Q_1; matching Gram matrices make Y satisfy every
     linear relation among the inputs, dependent families included.  The rest
     of Q (x) I_r goes to an orthonormal complement of those.
     """
-    if not verdict.is_realizable:
-        raise ValueError("construct_isometry needs a Realizable verdict")
-    if verdict.completed_gram.shape != (spec.n, spec.n):
-        _refuse_mismatch(math.inf, tol)
+    sig = environment_vectors(_realized(spec, verdict, tol, "construct_isometry"))
     q = spec.span_basis
-    sig = environment_vectors(verdict.completed_gram)
     r = sig.shape[0]
     d, n, rank = q.shape[0], spec.n, spec.rank
     _, b, g_in, _ = spec._arrays
@@ -539,18 +533,30 @@ def _refuse_mismatch(mismatch: float, tol: float) -> None:
         )
 
 
-def _check_completion(spec: ProcessSpec, verdict: FeasibilityVerdict, tol: float) -> None:
-    """Refuse a verdict decided for another spec: its completed Gram G must be
-    (n, n) and reproduce the input Gram, |G_in - G_out o G| <= 10 max(tol, 1e-9)."""
-    _, _, g_in, g_out = spec._arrays
+def _coherent(g: np.ndarray, tol: float) -> bool:
+    """Every off-diagonal entry of ``g`` lies within ``tol`` of one; the
+    diagonal, one to 1e-12 in every EnvironmentGram, is not read."""
+    deviation = np.abs(g - 1.0)
+    deviation.flat[:: g.shape[0] + 1] = 0.0
+    return bool((deviation <= tol).all())
+
+
+def _realized(
+    spec: ProcessSpec, verdict: FeasibilityVerdict, tol: float, user: str, coherent: bool = False
+) -> np.ndarray:
+    """Completed Gram G of ``verdict``, refused in this order: not Realizable
+    (ValueError naming ``user``), not ``_coherent`` where ``coherent`` asks it
+    (EnvironmentsDifferError), or decided for another spec (RuntimeError):
+    G must be (n, n) with |G_in - G_out o G| <= 10 max(tol, 1e-9)."""
+    if not verdict.is_realizable:
+        raise ValueError(f"{user} needs a Realizable verdict")
     g = verdict.completed_gram
+    if coherent and not _coherent(g, tol):
+        raise EnvironmentsDifferError()
+    _, _, g_in, g_out = spec._arrays
     mismatch = float(np.max(np.abs(g_in - g_out * g))) if g.shape == g_in.shape else math.inf
     _refuse_mismatch(mismatch, tol)
-
-
-def _coherent_gram_check(verdict: FeasibilityVerdict, tol: float) -> bool:
-    g = verdict.completed_gram
-    return bool(np.max(np.abs(g - 1.0)) <= tol)
+    return g
 
 
 def _expand_input(spec: ProcessSpec, state: PureState, tol: float) -> np.ndarray:
@@ -580,13 +586,10 @@ def apply_process(
     on the kept inputs of a dependent family; the coherent outputs obey the
     inputs' linear relations, so any expansion gives the same image.  ``tol``
     bounds the residual |v - A c| (OutsideSpanError), never the span, and an
-    image of norm at most ``tol`` has no output state (ValueError).
+    image of norm at most ``tol`` has no output state (ValueError).  The
+    verdict must pass ``_realized`` as coherent.
     """
-    if not verdict.is_realizable:
-        raise ValueError("apply_process needs a Realizable verdict")
-    if not _coherent_gram_check(verdict, tol):
-        raise EnvironmentsDifferError()
-    _check_completion(spec, verdict, tol)
+    _realized(spec, verdict, tol, "apply_process", coherent=True)
     coeff = _expand_input(spec, state, tol)
     out = spec.output_matrix() @ coeff
     norm = np.linalg.norm(out)
@@ -610,12 +613,10 @@ def output_density(
 
     normalized to unit trace.  Pure (purity one) when the environment Gram
     has rank one on the support of c: there the s_i differ by phases only.
+    The verdict must pass ``_realized``, coherent or not.
     """
-    if not verdict.is_realizable:
-        raise ValueError("output_density needs a Realizable verdict")
-    _check_completion(spec, verdict, tol)
+    e = _realized(spec, verdict, tol, "output_density")
     coeff = _expand_input(spec, state, tol)
-    e = verdict.completed_gram
     weights = np.outer(coeff, coeff.conj()) * e.conj()
     b = spec.output_matrix()
     rho = b @ weights @ b.conj().T

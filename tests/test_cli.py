@@ -616,6 +616,7 @@ class TestMainEntryPoint:
             ["run", "teleport", "--seed", "-1"],
             ["run", "teleport", "--tolerance", "1.0"],
             ["run", "cloning", "--tolerance", "1.5"],
+            ["run", "deletion-sweep", "--steps", "4097"],
         ],
         ids=[
             "tolerance-negative",
@@ -624,6 +625,7 @@ class TestMainEntryPoint:
             "seed-negative",
             "tolerance-one",
             "tolerance-above-one",
+            "steps-above-cap",
         ],
     )
     def test_invalid_tolerance_is_usage_error(self, argv, capsys):

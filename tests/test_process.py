@@ -416,6 +416,28 @@ class TestVerdictGuards:
         with pytest.raises(ValueError, match=message):
             FeasibilityVerdict(status, completed_gram=gram)
 
+    @pytest.mark.parametrize(
+        "operation, needs_coherence",
+        [
+            (find_entangling_witness, True),
+            (construct_isometry, False),
+            (lambda spec, verdict: apply_process(spec, verdict, spec.pairs[0][0]), True),
+            (lambda spec, verdict: output_density(spec, verdict, spec.pairs[0][0]), False),
+        ],
+        ids=["find_entangling_witness", "construct_isometry", "apply_process", "output_density"],
+    )
+    def test_only_coherent_uses_refuse_orthogonal_environments(self, operation, needs_coherence):
+        # the orthogonal-environment verdict of test_orthogonal_environments_decohere
+        # is realizable and fits its spec, but its environments differ
+        a1, a2, b2 = ket("00"), ket("01"), ket("10")
+        spec = ProcessSpec(2, 2, ((a1, a1), (a2, b2)))
+        verdict = FeasibilityVerdict(REALIZABLE, completed_gram=np.eye(2))
+        if needs_coherence:
+            with pytest.raises(EnvironmentsDifferError):
+                operation(spec, verdict)
+        else:
+            operation(spec, verdict)
+
     @pytest.mark.parametrize("operation", [apply_process, output_density])
     def test_an_input_of_other_dims_is_refused(self, operation):
         spec = cloning_process()
@@ -444,6 +466,21 @@ class TestApplyProcess:
         for a, b in spec.pairs:
             out = apply_process(spec, verdict, a)
             assert np.max(np.abs(out.vector - b.vector)) < 1e-12
+
+    def test_coherence_does_not_read_the_diagonal(self):
+        # a diagonal off one by 5e-13 passes EnvironmentGram's 1e-12 check;
+        # at tol = 1e-13 complete_psd's coherent rule fills the free overlap
+        # with one, and apply_process reads coherence by the same rule
+        spec = cloning_process()
+        known = environment_gram(spec).known
+        values = np.ones((3, 3)) + 5e-13 * np.eye(3)
+        verdict = complete_psd(EnvironmentGram(values, known), 1e-13)
+        assert verdict.status == REALIZABLE
+        np.testing.assert_array_equal(verdict.completed_gram, values)
+        state = tensor(ket_plus(), ket("0"))
+        out = apply_process(spec, verdict, state, 1e-13)
+        want = apply_process(spec, decide_feasibility(spec), state, 1e-13)
+        np.testing.assert_array_equal(out.vector, want.vector)
 
     def test_outside_span_rejected(self):
         spec = cloning_process()
