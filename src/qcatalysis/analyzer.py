@@ -29,7 +29,6 @@ __all__ = [
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .process import (
 from .states import (
     DEFAULT_TOL,
     PureState,
+    _Record,
     _schmidt,
     concurrence,
     ket,
@@ -89,46 +89,73 @@ _PAIR_WEIGHTS = (np.eye(4)[:, None] + np.eye(4))[np.triu_indices(4, 1)] / 2.0
 _TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessRecord:
+class WitnessRecord(_Record):
     """Separable input that the process maps to an entangled output."""
 
-    input: PureState
-    output: PureState
-    concurrence_in: float
-    concurrence_out: float
-    coefficients: np.ndarray
+    def __init__(
+        self,
+        input: PureState,
+        output: PureState,
+        concurrence_in: float,
+        concurrence_out: float,
+        coefficients: np.ndarray,
+    ):
+        self._set(
+            input=input,
+            output=output,
+            concurrence_in=concurrence_in,
+            concurrence_out=concurrence_out,
+            coefficients=coefficients,
+        )
 
 
-@dataclass(frozen=True)
-class PairIntactness:
-    index: int
-    input_is_product: bool
-    output_is_product: bool
-    catalyst_fidelity: float | None
-    intact: bool
+class PairIntactness(_Record, eq=True):
+    def __init__(
+        self,
+        index: int,
+        input_is_product: bool,
+        output_is_product: bool,
+        catalyst_fidelity: float | None,
+        intact: bool,
+    ):
+        self._set(
+            index=index,
+            input_is_product=input_is_product,
+            output_is_product=output_is_product,
+            catalyst_fidelity=catalyst_fidelity,
+            intact=intact,
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class CatalysisReport:
-    verdict: FeasibilityVerdict
-    pair_reports: tuple[PairIntactness, ...]
-    catalyst_intact: bool
-    coherence_preserving: bool
-    classification: str
-    witness: WitnessRecord | None
-    reason: str | None
-    bob_alone_impossible: bool
+class CatalysisReport(_Record):
+    def __init__(
+        self,
+        verdict: FeasibilityVerdict,
+        pair_reports: tuple[PairIntactness, ...],
+        catalyst_intact: bool,
+        coherence_preserving: bool,
+        classification: str,
+        witness: WitnessRecord | None,
+        reason: str | None,
+        bob_alone_impossible: bool,
+    ):
+        self._set(
+            verdict=verdict,
+            pair_reports=pair_reports,
+            catalyst_intact=catalyst_intact,
+            coherence_preserving=coherence_preserving,
+            classification=classification,
+            witness=witness,
+            reason=reason,
+            bob_alone_impossible=bob_alone_impossible,
+        )
 
 
-@dataclass(frozen=True)
-class DeletionFamilyPoint:
+class DeletionFamilyPoint(_Record, eq=True):
     """One point of the residual-state sweep for the deletion task."""
 
-    u: float
-    v: float
-    overlap: complex
-    out_concurrence: float | None
+    def __init__(self, u: float, v: float, overlap: complex, out_concurrence: float | None):
+        self._set(u=u, v=v, overlap=overlap, out_concurrence=out_concurrence)
 
 
 def _catalysed(bob_in, bob_out) -> ProcessSpec:

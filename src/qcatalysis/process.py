@@ -40,12 +40,11 @@ __all__ = [
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .states import DEFAULT_TOL, MAX_DIM, PureState, _index, _own
+from .states import DEFAULT_TOL, MAX_DIM, PureState, _index, _own, _Record
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -81,8 +80,7 @@ class EnvironmentsDifferError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessSpec:
+class ProcessSpec(_Record):
     """Ordered (input, output) pure-state pairs on a fixed A(x)B split.
 
     The input and output matrices A and B (one column per pair) and their
@@ -96,26 +94,20 @@ class ProcessSpec:
     passes keeps every input.
     """
 
-    dim_a: int
-    dim_b: int
-    pairs: tuple[tuple[PureState, PureState], ...]
-
-    def __post_init__(self):
-        pairs = tuple((a, b) for a, b in self.pairs)
+    def __init__(self, dim_a: int, dim_b: int, pairs: tuple[tuple[PureState, PureState], ...]):
+        pairs = tuple((a, b) for a, b in pairs)
         if not pairs:
             raise ValueError("a process needs at least one (input, output) pair")
         if len(pairs) > MAX_DIM:
             raise ValueError(f"{len(pairs)} pairs exceed the cap of {MAX_DIM}")
-        want = (_index(self.dim_a, "dim_a"), _index(self.dim_b, "dim_b"))
+        want = (_index(dim_a, "dim_a"), _index(dim_b, "dim_b"))
         for idx, (a, b) in enumerate(pairs):
             for which, s in (("input", a), ("output", b)):
                 if s.dims != want:
                     raise ValueError(
                         f"pair {idx} {which} has dims {s.dims}, expected {want}"
                     )
-        object.__setattr__(self, "dim_a", want[0])
-        object.__setattr__(self, "dim_b", want[1])
-        object.__setattr__(self, "pairs", pairs)
+        self._set(dim_a=want[0], dim_b=want[1], pairs=pairs)
 
     @property
     def n(self) -> int:
@@ -170,20 +162,16 @@ class ProcessSpec:
         return self._span[1]
 
 
-@dataclass(frozen=True, eq=False)
-class EnvironmentGram:
+class EnvironmentGram(_Record):
     """Partially determined matrix of required environment overlaps.
 
     ``values[i, j]`` holds the forced overlap where ``known[i, j]`` is
     true (diagonal fixed at one); unknown slots are free to complete.
     """
 
-    values: np.ndarray
-    known: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128).copy()
-        known = np.asarray(self.known, dtype=bool).copy()
+    def __init__(self, values: np.ndarray, known: np.ndarray):
+        values = np.asarray(values, dtype=np.complex128).copy()
+        known = np.asarray(known, dtype=bool).copy()
         if values.ndim != 2 or values.shape[0] != values.shape[1] or known.shape != values.shape:
             raise ValueError("values and known must be square and congruent")
         if (known != known.T).any():
@@ -196,8 +184,7 @@ class EnvironmentGram:
             raise ValueError("determined overlaps must have modulus at most one")
         values.setflags(write=False)
         known.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "known", known)
+        self._set(values=values, known=known)
 
     @property
     def n(self) -> int:
@@ -208,8 +195,7 @@ class EnvironmentGram:
         return [(i, j) for i in range(n) for j in range(i + 1, n) if not self.known[i, j]]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record, eq=True):
     """Evidence for an infeasibility verdict.
 
     ``pair`` names the offending (i, j) when one exists.  A psd_violation
@@ -219,41 +205,38 @@ class Certificate:
     that the chord must lie in (see ``complete_psd``).
     """
 
-    reason: str
-    pair: tuple[int, int] | None
-    magnitude: float
+    def __init__(self, reason: str, pair: tuple[int, int] | None, magnitude: float):
+        self._set(reason=reason, pair=pair, magnitude=magnitude)
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibilityVerdict:
-    status: str
-    completed_gram: np.ndarray | None = None
-    certificate: Certificate | None = None
-
-    def __post_init__(self):
-        if self.status not in (REALIZABLE, INFEASIBLE, UNDETERMINED):
-            raise ValueError(f"unknown verdict status {self.status!r}")
-        if self.status == REALIZABLE:
+class FeasibilityVerdict(_Record):
+    def __init__(
+        self,
+        status: str,
+        completed_gram: np.ndarray | None = None,
+        certificate: Certificate | None = None,
+    ):
+        if status not in (REALIZABLE, INFEASIBLE, UNDETERMINED):
+            raise ValueError(f"unknown verdict status {status!r}")
+        if status == REALIZABLE:
             # None reads as a 0-d NaN array, refused with the rest
-            g = np.asarray(self.completed_gram, dtype=np.complex128).copy()
+            g = np.asarray(completed_gram, dtype=np.complex128).copy()
             if g.ndim != 2 or g.shape[0] != g.shape[1] or not np.isfinite(g).all():
                 raise ValueError("a realizable verdict needs a finite square completed_gram")
             g.setflags(write=False)
-            object.__setattr__(self, "completed_gram", g)
+            completed_gram = g
+        self._set(status=status, completed_gram=completed_gram, certificate=certificate)
 
     @property
     def is_realizable(self) -> bool:
         return self.status == REALIZABLE
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Hermitian, trace-one, positive semidefinite matrix."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=np.complex128).copy()
         if not np.isfinite(m).all():
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -265,7 +248,7 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(m)[0]) < -DEFAULT_TOL:
             raise ValueError("density matrix must be positive semidefinite")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
     @property
     def dim(self) -> int:

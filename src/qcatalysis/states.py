@@ -34,7 +34,6 @@ __all__ = [
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,8 +126,49 @@ def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
     return dims, total
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class _Record:
+    """An immutable record whose fields are the parameters of its ``__init__``.
+
+    ``__init__`` stores them once, through ``_set``; assigning or deleting an
+    attribute afterwards raises AttributeError.  ``repr`` shows the fields
+    not ``hidden``.  An ``eq=True`` record compares and hashes by its field
+    tuple, any other by identity.  (``@dataclass`` would compile generated
+    methods with ``exec`` on every start, 0.4-0.9 ms a class.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = False, hidden: tuple[str, ...] = ()):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        if eq:
+            cls.__eq__, cls.__hash__ = _Record._same, _Record._hash
+
+    def _set(self, **fields):
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def _same(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PureState(_Record, hidden=("vector",)):
     """Normalized state vector with a subsystem-dimension signature.
 
     The one place a state is validated: ``vector`` is a read-only
@@ -146,12 +186,9 @@ class PureState:
     index a * dimB + b.
     """
 
-    dims: tuple[int, ...]
-    vector: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dims, total = _checked_dims(self.dims)
-        vec = np.array(self.vector, dtype=np.complex128, order="C").ravel()
+    def __init__(self, dims: tuple[int, ...], vector: np.ndarray):
+        dims, total = _checked_dims(dims)
+        vec = np.array(vector, dtype=np.complex128, order="C").ravel()
         n = math.sqrt(np.vdot(vec, vec).real)
         if vec.size != total or not math.isfinite(n):
             # a finite norm has finite entries: only here can as_vector
@@ -161,8 +198,7 @@ class PureState:
         if not math.isfinite(n) or abs(n - 1.0) > 1e-8:
             raise ValueError(f"state vector must be normalized, norm is {n:.12f}")
         vec.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "vector", vec)
+        self._set(dims=dims, vector=vec)
 
     @property
     def dim(self) -> int:
@@ -170,32 +206,25 @@ class PureState:
 
 
 def _own(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, without its __post_init__: for
+    """A ``cls`` holding ``fields`` as given, without its __init__: for
     read-only arrays the package has just built, valid by construction."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj._set(**fields)
     return obj
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(_Record, eq=True):
     """Named qubit gate acting on specific subsystems (control first for CNOT)."""
 
-    name: str
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(_index(t, "gate target") for t in self.targets))
-        if self.name not in _ARITY:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.targets) != _ARITY[self.name]:
-            raise ValueError(
-                f"{self.name} acts on {_ARITY[self.name]} subsystem(s), "
-                f"got targets {self.targets}"
-            )
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"gate targets must be distinct, got {self.targets}")
+    def __init__(self, name: str, targets: tuple[int, ...]):
+        targets = tuple(_index(t, "gate target") for t in targets)
+        if name not in _ARITY:
+            raise ValueError(f"unknown gate {name!r}")
+        if len(targets) != _ARITY[name]:
+            raise ValueError(f"{name} acts on {_ARITY[name]} subsystem(s), got targets {targets}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"gate targets must be distinct, got {targets}")
+        self._set(name=name, targets=targets)
 
 
 def ket(bits: str) -> PureState:

@@ -23,29 +23,26 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, _gate, _own
+from .states import PureState, _gate, _own, _Record
 
 
-@dataclass(frozen=True)
-class ResourceLedger:
-    ebits_consumed: int
-    cbits_a_to_b: int
-    cbits_b_to_a: int
-
-    def __post_init__(self):
-        if min(self.ebits_consumed, self.cbits_a_to_b, self.cbits_b_to_a) < 0:
+class ResourceLedger(_Record, eq=True):
+    def __init__(self, ebits_consumed: int, cbits_a_to_b: int, cbits_b_to_a: int):
+        if min(ebits_consumed, cbits_a_to_b, cbits_b_to_a) < 0:
             raise ValueError("resource counts must be nonnegative")
+        self._set(
+            ebits_consumed=ebits_consumed, cbits_a_to_b=cbits_a_to_b, cbits_b_to_a=cbits_b_to_a
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class BranchOutcome:
-    measurement_bits: tuple[int, ...]
-    probability: float
-    post_state: PureState
+class BranchOutcome(_Record):
+    def __init__(self, measurement_bits: tuple[int, ...], probability: float, post_state: PureState):
+        self._set(
+            measurement_bits=measurement_bits, probability=probability, post_state=post_state
+        )
 
 
 TELEPORT_LEDGER = ResourceLedger(ebits_consumed=1, cbits_a_to_b=2, cbits_b_to_a=0)

@@ -1,5 +1,5 @@
-"""Shared random generators, independent oracles and a fresh-interpreter
-runner for the test suite."""
+"""Shared random generators, independent oracles, record checks and a
+fresh-interpreter runner for the test suite."""
 
 import itertools
 import math
@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from qcatalysis import (
     EnvironmentGram,
@@ -44,6 +46,38 @@ def run_fresh_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def assert_record(record, fields: tuple[str, ...], eq: bool, hidden: tuple[str, ...] = ()):
+    """``record`` has the field tuple ``fields``; assigning or deleting any of
+    them, or a new name, raises AttributeError and changes nothing; its repr
+    names the class and each field not ``hidden``; it compares and hashes by
+    identity unless ``eq``."""
+    assert record._fields == fields
+    before = [getattr(record, name) for name in fields]
+    for name in (*fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert all(getattr(record, name) is value for name, value in zip(fields, before))
+    assert not hasattr(record, "not_a_field")
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields if name not in hidden)
+    assert repr(record) == f"{type(record).__name__}({shown})"
+    identity = (type(record).__eq__, type(record).__hash__) == (object.__eq__, object.__hash__)
+    assert identity is not eq
+
+
+def assert_value_record(cls, values: tuple, changed: tuple):
+    """Two ``cls(*values)`` are equal and hash as the tuple ``values``; one
+    field ``changed`` makes them unequal; neither the tuple nor an object of
+    another type with the same fields equals a record."""
+    a, b, c = cls(*values), cls(*values), cls(*changed)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(values)
+    assert a != c and not a == c
+    assert a != values and a.__eq__(values) is NotImplemented
+    assert a != SimpleNamespace(**dict(zip(a._fields, values)))
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

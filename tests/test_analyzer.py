@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import near_dependent_identity_spec, random_factored_spec
+from helpers import (
+    assert_record,
+    assert_value_record,
+    near_dependent_identity_spec,
+    random_factored_spec,
+)
 from qcatalysis import (
     EntangledStateError,
     NOT_CATALYSIS,
     NO_WITNESS_FOUND,
     QUANTUM_CATALYSIS,
+    DeletionFamilyPoint,
     ProcessSpec,
     PureState,
     apply_process,
@@ -32,6 +38,7 @@ from qcatalysis import (
     tensor,
     uninformed_cloning_process,
 )
+from qcatalysis.analyzer import PairIntactness
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -450,3 +457,34 @@ class TestDeletionFamilySweep:
             assert report.verdict.is_realizable
             if abs(p.overlap) > 1e-3:
                 assert report.classification == QUANTUM_CATALYSIS
+
+
+class TestRecords:
+    def test_report_and_witness_are_frozen(self):
+        report = classify(cloning_process())
+        fields = (
+            "verdict",
+            "pair_reports",
+            "catalyst_intact",
+            "coherence_preserving",
+            "classification",
+            "witness",
+            "reason",
+            "bob_alone_impossible",
+        )
+        assert_record(report, fields, eq=False)
+        fields = ("input", "output", "concurrence_in", "concurrence_out", "coefficients")
+        assert_record(report.witness, fields, eq=False)
+
+    def test_pair_intactness_is_a_frozen_value(self):
+        pair = classify(cloning_process()).pair_reports[0]
+        fields = ("index", "input_is_product", "output_is_product", "catalyst_fidelity", "intact")
+        assert_record(pair, fields, eq=True)
+        values = (0, True, True, 1.0, True)
+        assert_value_record(PairIntactness, values, (0, True, True, None, False))
+
+    def test_deletion_family_point_is_a_frozen_value(self):
+        point = deletion_family_sweep(4)[1]
+        assert_record(point, ("u", "v", "overlap", "out_concurrence"), eq=True)
+        values = (0.0, 0.5, 0.25 + 0.5j, 0.5)
+        assert_value_record(DeletionFamilyPoint, values, (0.0, 0.5, 0.25 + 0.5j, None))

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_record,
+    assert_value_record,
     chordal_spec,
     controlled_unitary_spec,
     golden_report,
@@ -161,15 +163,14 @@ class TestScenarios:
     def test_sweep_fails_when_the_concurrence_leaves_the_overlap(self, monkeypatch):
         # halved concurrences still vanish only at orthogonal residues, so
         # only the exact law tells them from the sweep's own
-        import dataclasses
-
         import qcatalysis.cli as cli
+        from qcatalysis import DeletionFamilyPoint
 
         sweep = cli.deletion_family_sweep
 
         def halved(*args):
             return [
-                dataclasses.replace(p, out_concurrence=p.out_concurrence / 2)
+                DeletionFamilyPoint(p.u, p.v, p.overlap, p.out_concurrence / 2)
                 for p in sweep(*args)
             ]
 
@@ -822,6 +823,13 @@ def test_run_config_stores_numpy_and_other_real_numbers_as_int_and_float():
     assert b'"config":{"format":"json","seed":3,"steps":8,"tolerance":0.500000000000}' in (
         emit_report(run_scenario("cloning", config)[0], "json")
     )
+
+
+def test_run_config_is_a_frozen_value():
+    config = RunConfig()
+    assert_record(config, ("tolerance", "format", "seed", "steps"), eq=True)
+    assert repr(config) == "RunConfig(tolerance=1e-09, format='json', seed=0, steps=64)"
+    assert_value_record(RunConfig, (1e-9, "json", 0, 64), (1e-9, "text", 0, 64))
 
 
 def test_failed_assertions_yield_exit_two():

@@ -3,17 +3,22 @@
 Its modules import only the standard library and numpy.  No scipy
 module is needed or loaded, and no verdict loads the ``_kernels`` module
 that only the benchmark tracer reads.  The command line loads
-``logging`` only on its internal-error path.
+``logging`` only on its internal-error path, and no ``dataclasses``.
 """
 
 import ast
+import gc
+import os
+import re
 import sys
 from pathlib import Path
 
 from helpers import run_fresh_python
+from qcatalysis import cli
 
 TESTS = str(Path(__file__).resolve().parent)
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcatalysis"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qcatalysis"
 
 
 def test_modules_import_only_the_standard_library_and_numpy():
@@ -114,3 +119,46 @@ def test_cli_loads_logging_only_for_an_internal_error():
     result = run_fresh_python(["-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False False"
+
+
+def test_cli_loads_no_dataclasses():
+    # @dataclass compiles each class's methods at every start
+    code = "import sys\nimport qcatalysis.cli\nprint('dataclasses' in sys.modules)\n"
+    result = run_fresh_python(["-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_the_script_and_the_main_block_call_one_entry_point():
+    # a string check: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+    assert scripts is not None
+    assert re.findall(r'^(\S+) = "([^"]+)"$', scripts.group(1), re.M) == [
+        ("qcatalysis", "qcatalysis.cli:entry_point")
+    ]
+    module = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main_block = module.body[-1]
+    assert ast.unparse(main_block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in main_block.body] == ["entry_point()"]
+
+
+def test_main_in_process_leaves_the_collector_alone():
+    # only entry_point, which ends the process, freezes the heap
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["run", "cloning", "--output", os.devnull]) == cli.EXIT_PASS
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_entry_point_freezes_the_heap_and_exits_with_mains_code():
+    # atexit handlers run after the freeze, and see it
+    code = (
+        "import atexit, gc, sys\n"
+        "from qcatalysis import cli\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['qcatalysis', 'run', 'cloning', '--output', sys.argv[1]]\n"
+        "cli.entry_point()\n"
+    )
+    result = run_fresh_python(["-c", code, os.devnull], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (cli.EXIT_PASS, "")
+    assert result.stdout == "True True\n"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_record,
+    assert_value_record,
     near_dependent_identity_spec,
     random_factored_spec,
     random_generic_spec,
@@ -14,6 +16,7 @@ from qcatalysis import (
     INFEASIBLE,
     REALIZABLE,
     UNDETERMINED,
+    Certificate,
     DensityMatrix,
     EnvironmentGram,
     EnvironmentsDifferError,
@@ -740,3 +743,28 @@ class TestNoCloning:
                     # every pair of the family passes, so the violation is the copy's
                     assert spec.n in cert.pair
         assert seen[REALIZABLE] >= 20 and seen[INFEASIBLE] >= 20, seen
+
+
+class TestRecords:
+    def test_process_spec_is_frozen_and_keeps_its_cached_arrays(self):
+        spec = cloning_process()
+        assert spec.rank == 3 and spec.input_matrix() is spec.input_matrix()
+        assert_record(spec, ("dim_a", "dim_b", "pairs"), eq=False)
+        for cached in ("_arrays", "_span"):
+            with pytest.raises(AttributeError):
+                setattr(spec, cached, None)
+        assert spec.rank == 3 and not spec.input_matrix().flags.writeable
+
+    def test_identity_records_are_frozen(self):
+        eg = environment_gram(cloning_process())
+        assert_record(eg, ("values", "known"), eq=False)
+        verdict = decide_feasibility(cloning_process())
+        assert_record(verdict, ("status", "completed_gram", "certificate"), eq=False)
+        assert_record(DensityMatrix(np.eye(2) / 2), ("matrix",), eq=False)
+
+    def test_certificate_is_a_frozen_value(self):
+        cert = decide_feasibility(uninformed_cloning_process()).certificate
+        assert_record(cert, ("reason", "pair", "magnitude"), eq=True)
+        assert repr(cert).startswith("Certificate(reason='modulus_violation', pair=(")
+        values = ("modulus_violation", (0, 2), math.sqrt(2.0))
+        assert_value_record(Certificate, values, ("modulus_violation", (1, 2), math.sqrt(2.0)))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import assert_record, assert_value_record, random_unitary
 from qcatalysis import (
     EntangledStateError,
     GateSpec,
@@ -449,3 +449,17 @@ class TestRandomStates:
         rng = np.random.default_rng(51)
         assert random_states((2, 3), np.int64(0), rng).shape == (0, 6)
         assert rng.standard_normal() == np.random.default_rng(51).standard_normal()
+
+
+class TestRecords:
+    def test_pure_state_is_frozen_and_its_repr_leaves_out_the_vector(self):
+        state = ket("01")
+        assert_record(state, ("dims", "vector"), eq=False, hidden=("vector",))
+        assert repr(state) == "PureState(dims=(2, 2))"
+        assert state != ket("01")
+
+    def test_gate_spec_is_a_frozen_value(self):
+        gate = GateSpec("CNOT", (0, 1))
+        assert_record(gate, ("name", "targets"), eq=True)
+        assert repr(gate) == "GateSpec(name='CNOT', targets=(0, 1))"
+        assert_value_record(GateSpec, ("CNOT", (0, 1)), ("CNOT", (1, 0)))

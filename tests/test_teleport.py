@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import batched_protocol_figures
+from helpers import assert_record, assert_value_record, batched_protocol_figures
 from qcatalysis import (
     GateSpec,
     NONLOCAL_CNOT_LEDGER,
     PureState,
+    ResourceLedger,
     TELEPORT_LEDGER,
     apply_gate,
     bell_pair,
@@ -481,3 +482,18 @@ class TestBranchStates:
                 np.testing.assert_array_equal(
                     apply_gate(gate, PureState((2, 2), row)).vector, target
                 )
+
+
+class TestRecords:
+    def test_ledger_is_a_frozen_value(self):
+        fields = ("ebits_consumed", "cbits_a_to_b", "cbits_b_to_a")
+        assert_record(TELEPORT_LEDGER, fields, eq=True)
+        assert repr(TELEPORT_LEDGER) == (
+            "ResourceLedger(ebits_consumed=1, cbits_a_to_b=2, cbits_b_to_a=0)"
+        )
+        assert_value_record(ResourceLedger, (1, 2, 0), (1, 1, 1))
+
+    def test_branch_outcome_is_frozen(self):
+        branches, _ = teleport(ket("0"))
+        assert_record(branches[0], ("measurement_bits", "probability", "post_state"), eq=False)
+        assert repr(branches[0]).endswith(", post_state=PureState(dims=(2,)))")
