@@ -43,6 +43,8 @@ from .process import (
 from .states import (
     DEFAULT_TOL,
     PureState,
+    _checked_tol,
+    _det_form,
     _Record,
     _schmidt,
     concurrence,
@@ -211,6 +213,7 @@ def _catalyst_checks(spec: ProcessSpec, tol: float) -> tuple[tuple[PairIntactnes
     products share their input B factor (fidelity at least 1 - tol) but
     not their output one (fidelity at most 1 - tol).
     """
+    tol = _checked_tol(tol)
     n = spec.n
     rows = np.concatenate([spec.input_matrix().T, spec.output_matrix().T])
     s, a, b = _schmidt(rows, spec.dim_a, spec.dim_b)
@@ -339,20 +342,6 @@ def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     for m in tables:
         m.setflags(write=False)
     return tables
-
-
-def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric bilinear form with _det_form(u, u) = 2(u0 u3 - u1 u2).
-
-    Along the last axis; |_det_form(u, u)| is the concurrence of a unit
-    two-qubit vector u.
-    """
-    return (
-        u[..., 0] * v[..., 3]
-        + u[..., 3] * v[..., 0]
-        - u[..., 1] * v[..., 2]
-        - u[..., 2] * v[..., 1]
-    )
 
 
 def _best_in_span(image: np.ndarray, basis: np.ndarray) -> np.ndarray:

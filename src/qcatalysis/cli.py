@@ -35,6 +35,7 @@ from .states import (
     DEFAULT_TOL,
     MAX_DIM,
     PureState,
+    _checked_tol,
     _Record,
     inner,
     ket,
@@ -83,12 +84,10 @@ class RunConfig(_Record, eq=True):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         seed, steps = operator.index(seed), operator.index(steps)
-        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-            raise UsageError(f"tolerance must be a real number, got {tolerance!r}")
-        # at a tolerance of one every fidelity test 1 - tol is vacuous
-        if not 0.0 < tolerance < 1.0:
-            raise UsageError(f"tolerance must lie in (0, 1), got {tolerance}")
-        tolerance = float(tolerance)
+        try:
+            tolerance = _checked_tol(tolerance)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if seed < 0:
             raise UsageError(f"seed must be nonnegative, got {seed}")
         if format not in ("json", "text"):
@@ -499,13 +498,14 @@ def _parse_amplitudes(raw, field: str, dim: int, tol: float) -> np.ndarray:
     if not np.all(np.isfinite(vec.view(np.float64))):
         raise SpecFileError(field, "amplitudes must be finite")
     n = math.sqrt(np.vdot(vec, vec).real)
-    if not math.isfinite(n) or n == 0.0 or abs(n - 1.0) > max(tol, _NORM_FLOOR):
+    if not math.isfinite(n) or abs(n - 1.0) > max(tol, _NORM_FLOOR):
         raise SpecFileError(field, f"state is not normalized (|norm - 1| = {abs(n - 1.0):.3e})")
     return vec / n
 
 
 def parse_process_spec(data, tol: float = DEFAULT_TOL) -> ProcessSpec:
     """Build a ProcessSpec from the documented JSON mapping."""
+    tol = _checked_tol(tol)
     if not isinstance(data, dict):
         raise SpecFileError("document", "top level must be a JSON object")
     version = data.get("version")
@@ -590,12 +590,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, scenario: bool) -> None:
     defaults = RunConfig()
     parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
     parser.add_argument("--format", choices=("json", "text"), default=defaults.format)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--steps", type=int, default=defaults.steps)
+    if scenario:
+        # only a scenario draws inputs (--seed) or sweeps (--steps)
+        parser.add_argument("--seed", type=int, default=defaults.seed)
+        parser.add_argument("--steps", type=int, default=defaults.steps)
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
@@ -604,10 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a built-in scenario")
     run.add_argument("scenario", choices=SCENARIOS)
-    _add_common(run)
+    _add_common(run, scenario=True)
     check = sub.add_parser("check", help="classify a process-spec JSON file")
     check.add_argument("path")
-    _add_common(check)
+    _add_common(check, scenario=False)
     return parser
 
 
@@ -627,7 +629,7 @@ def _drop_stdout() -> None:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        config = RunConfig(**{f: getattr(ns, f) for f in RunConfig._fields})
+        config = RunConfig(**{f: getattr(ns, f) for f in RunConfig._fields if hasattr(ns, f)})
         if ns.command == "run":
             doc, code = run_scenario(ns.scenario, config)
         else:

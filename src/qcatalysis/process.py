@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import DEFAULT_TOL, MAX_DIM, PureState, _index, _own, _Record
+from .states import DEFAULT_TOL, MAX_DIM, PureState, _checked_tol, _index, _own, _Record
 
 REALIZABLE = "realizable"
 INFEASIBLE = "infeasible"
@@ -55,7 +55,7 @@ REASON_OUTPUT_NULL = "output_null_input_not"
 REASON_PSD = "psd_violation"
 REASON_CYCLE = "cycle_violation"
 
-_RANK_CUTOFF = 1e-9
+_RANK_CUTOFF = 1e-9  # a Gram eigenvalue at most this is zero, whatever the tolerance
 
 
 class OutsideSpanError(ValueError):
@@ -89,7 +89,7 @@ class ProcessSpec(_Record):
     feasibility reads only the Gram matrices, never the span.  The span is
     built where first needed, cached, on the earliest independent inputs:
     input i is kept when the Gram matrix of i and the inputs kept before it
-    has its smallest eigenvalue above DEFAULT_TOL, whatever tolerance a call
+    has its smallest eigenvalue above _RANK_CUTOFF, whatever tolerance a call
     is given.  By Cauchy interlacing, a family whose whole Gram matrix
     passes keeps every input.
     """
@@ -136,7 +136,7 @@ class ProcessSpec(_Record):
         a, _, g_in, _ = self._arrays
         kept = []
         for i in range(self.n):
-            if np.linalg.eigvalsh(g_in[np.ix_(kept + [i], kept + [i])])[0] > DEFAULT_TOL:
+            if np.linalg.eigvalsh(g_in[np.ix_(kept + [i], kept + [i])])[0] > _RANK_CUTOFF:
                 kept.append(i)
         rank = len(kept)
         q, r = np.linalg.qr(a[:, kept], mode="complete")
@@ -268,6 +268,7 @@ def environment_gram(
     nonvanishing input one, or a forced modulus above one, is immediately
     infeasible (no unit environment vectors can satisfy it).
     """
+    tol = _checked_tol(tol)
     _, _, g_in, g_out = spec._arrays
     n = spec.n
     values = np.eye(n, dtype=np.complex128)
@@ -418,6 +419,7 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
     least -tol; otherwise the verdict is Undetermined, or Infeasible when a
     chordal pattern's clique is not PSD.
     """
+    tol = _checked_tol(tol)
     # free entries start at one; every rule below reads determined entries
     # only until it has filled the free ones
     g = np.where(eg.known, eg.values, 1.0)
@@ -527,10 +529,12 @@ def _coherent(g: np.ndarray, tol: float) -> bool:
 def _realized(
     spec: ProcessSpec, verdict: FeasibilityVerdict, tol: float, user: str, coherent: bool = False
 ) -> np.ndarray:
-    """Completed Gram G of ``verdict``, refused in this order: not Realizable
-    (ValueError naming ``user``), not ``_coherent`` where ``coherent`` asks it
-    (EnvironmentsDifferError), or decided for another spec (RuntimeError):
-    G must be (n, n) with |G_in - G_out o G| <= 10 max(tol, 1e-9)."""
+    """Completed Gram G of ``verdict``, refused in this order: a ``tol`` that
+    ``_checked_tol`` refuses, not Realizable (ValueError naming ``user``), not
+    ``_coherent`` where ``coherent`` asks it (EnvironmentsDifferError), or
+    decided for another spec (RuntimeError): G must be (n, n) with
+    |G_in - G_out o G| <= 10 max(tol, 1e-9)."""
+    _checked_tol(tol)
     if not verdict.is_realizable:
         raise ValueError(f"{user} needs a Realizable verdict")
     g = verdict.completed_gram

@@ -1,10 +1,11 @@
 """Pure states on small multi-qubit registers, gates, and entanglement measures.
 
 Also the package's vector validation (``as_vector``, which ``PureState``
-calls, and the ``inner`` and ``phase_aligned_distance`` built on it) and
-its shared constants: ``DEFAULT_TOL``, the default tolerance of every
-decision, and ``MAX_DIM``, the cap of 64 on a state's total dimension
-(six qubits), above which inputs are rejected instead of slowing down.
+calls, and the ``inner`` and ``phase_aligned_distance`` built on it), its
+one tolerance check (``_checked_tol``) and its shared constants:
+``DEFAULT_TOL``, the default tolerance of every decision, and ``MAX_DIM``,
+the cap of 64 on a state's total dimension (six qubits), above which
+inputs are rejected instead of slowing down.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -90,28 +92,36 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def inner(u, v) -> complex:
-    """Inner product <u|v>, conjugate-linear in the first argument."""
+def _same_size(u, v, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``as_vector`` of both, or DimensionMismatchError naming ``what``."""
     a = as_vector(u)
     b = as_vector(v)
     if a.size != b.size:
-        raise DimensionMismatchError(
-            f"inner product needs equal dimensions, got {a.size} and {b.size}"
-        )
-    return complex(np.vdot(a, b))
+        raise DimensionMismatchError(f"{what} needs equal dimensions, got {a.size} and {b.size}")
+    return a, b
+
+
+def inner(u, v) -> complex:
+    """Inner product <u|v>, conjugate-linear in the first argument."""
+    return complex(np.vdot(*_same_size(u, v, "inner product")))
 
 
 def phase_aligned_distance(u, v) -> float:
     """Euclidean distance between vectors after optimal global phase on v."""
-    a = as_vector(u)
-    b = as_vector(v)
-    if a.size != b.size:
-        raise DimensionMismatchError(
-            f"phase alignment needs equal dimensions, got {a.size} and {b.size}"
-        )
+    a, b = _same_size(u, v, "phase alignment")
     ov = np.vdot(b, a)
     phase = ov / abs(ov) if abs(ov) > 0.0 else 1.0
     return float(np.linalg.norm(a - phase * b))
+
+
+def _checked_tol(tol) -> float:
+    """``tol`` as a float, or ValueError unless it is a real number in (0, 1):
+    at one every fidelity test 1 - tol is vacuous.  Each layer's entry calls it."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+    return float(tol)
 
 
 def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
@@ -130,18 +140,17 @@ class _Record:
     """An immutable record whose fields are the parameters of its ``__init__``.
 
     ``__init__`` stores them once, through ``_set``; assigning or deleting an
-    attribute afterwards raises AttributeError.  ``repr`` shows the fields
-    not ``hidden``.  An ``eq=True`` record compares and hashes by its field
-    tuple, any other by identity.  (``@dataclass`` would compile generated
-    methods with ``exec`` on every start, 0.4-0.9 ms a class.)
+    attribute afterwards raises AttributeError.  An ``eq=True`` record
+    compares and hashes by its field tuple, any other by identity.
+    (``@dataclass`` would compile generated methods with ``exec`` on every
+    start, 0.4-0.9 ms a class.)
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, eq: bool = False, hidden: tuple[str, ...] = ()):
+    def __init_subclass__(cls, eq: bool = False):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._shown = tuple(f for f in cls._fields if f not in hidden)
         if eq:
             cls.__eq__, cls.__hash__ = _Record._same, _Record._hash
 
@@ -164,11 +173,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
-class PureState(_Record, hidden=("vector",)):
+class PureState(_Record):
     """Normalized state vector with a subsystem-dimension signature.
 
     The one place a state is validated: ``vector`` is a read-only
@@ -199,6 +208,9 @@ class PureState(_Record, hidden=("vector",)):
             raise ValueError(f"state vector must be normalized, norm is {n:.12f}")
         vec.setflags(write=False)
         self._set(dims=dims, vector=vec)
+
+    def __repr__(self) -> str:
+        return f"PureState(dims={self.dims!r})"
 
     @property
     def dim(self) -> int:
@@ -287,10 +299,7 @@ def _gate(name: str, targets: tuple[int, ...], reg: np.ndarray) -> np.ndarray:
     if name == "Z":
         out[hi] = -b
     elif name == "H":
-        # (a + b) * _SQ2 and (a - b) * _SQ2 bit for bit, with no temporaries
-        np.add(a, b, out=out[lo])
-        np.subtract(a, b, out=out[hi])
-        out *= _SQ2
+        out[lo], out[hi] = (a + b) * _SQ2, (a - b) * _SQ2
     else:  # X, or CNOT's X on the control's 1 slice
         out[lo], out[hi] = b, a
     return out
@@ -331,14 +340,27 @@ def schmidt_coefficients(state: PureState, split: int = 1) -> np.ndarray:
     return np.linalg.svd(state.vector.reshape(da, db), compute_uv=False)
 
 
+def _det_form(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric bilinear form with _det_form(u, u) = 2(u0 u3 - u1 u2).
+
+    Along the last axis; |_det_form(u, u)| is the concurrence of a unit
+    two-qubit vector u (Wootters, PRL 80, 2245, 1998).
+    """
+    return (
+        u[..., 0] * v[..., 3]
+        + u[..., 3] * v[..., 0]
+        - u[..., 1] * v[..., 2]
+        - u[..., 2] * v[..., 1]
+    )
+
+
 def concurrence(state: PureState) -> float:
-    """Two-qubit pure-state concurrence 2|ad - bc|."""
+    """Two-qubit pure-state concurrence 2|ad - bc|, as |_det_form(v, v)|."""
     if state.dims != (2, 2):
         raise DimensionMismatchError(
             f"concurrence is defined for dims (2, 2), got {state.dims}"
         )
-    a, b, c, d = state.vector
-    return min(2.0 * abs(a * d - b * c), 1.0)
+    return min(abs(_det_form(state.vector, state.vector)), 1.0)
 
 
 def _schmidt(vecs: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, ...]:
@@ -364,6 +386,7 @@ def product_factorize(
     reproduces the input.  Raises EntangledStateError when the second
     Schmidt coefficient exceeds ``tol``.
     """
+    tol = _checked_tol(tol)
     da, db = _split_shape(state, split)
     s, factor_a, factor_b = (x[0] for x in _schmidt(state.vector, da, db))
     if s[1] > tol:

@@ -376,13 +376,13 @@ class TestSpecFiles:
         assert exc.value.field == "pairs[1].in"
 
     def test_zero_vector_names_pair(self, tmp_path):
-        # at a tolerance above one (which the library parser still accepts,
-        # though RunConfig does not) the norm test alone would pass it
+        # at the loosest tolerance the parser accepts, a zero vector's
+        # |norm - 1| = 1 still fails the norm test
         bad = json.loads(json.dumps(IDENTITY_FILE))
         bad["pairs"][1]["in"] = [[0, 0]] * 4
         path = write_json(tmp_path, "zero.json", bad)
         with pytest.raises(SpecFileError) as exc:
-            load_process_spec(path, 1.5)
+            load_process_spec(path, 0.99)
         assert exc.value.field == "pairs[1].in"
 
     def test_dependent_inputs_decided(self, tmp_path):

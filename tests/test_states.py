@@ -322,6 +322,13 @@ class TestSchmidtAndConcurrence:
             lam = schmidt_coefficients(s)
             assert abs(concurrence(s) - 2.0 * lam[0] * lam[1]) < 1e-9
 
+    def test_concurrence_is_twice_the_determinant_to_rounding(self):
+        # the determinant form sums ad + da - bc - cb, not 2(ad - bc): the
+        # two orders of evaluation differ in the last bit only
+        for v in random_states((2, 2), 1000, np.random.default_rng(25)):
+            a, b, c, d = v
+            assert abs(concurrence(PureState((2, 2), v)) - min(2.0 * abs(a * d - b * c), 1.0)) <= 4e-16
+
     def test_concurrence_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(24)
         for _ in range(100):

@@ -440,6 +440,14 @@ def test_ascent_terms_are_the_derivatives_of_the_log_score():
         assert faa + fbb == pytest.approx(4.0 * fzw, rel=1e-4)
 
 
+def test_ascent_terms_vanish_at_a_root_of_the_quartic():
+    # p = (2z - 1)(z^3 + 1) is exactly zero at z = 1/2 in Horner's order:
+    # there log|p| has no derivatives, and the terms are zero, not a division
+    c = [-1.0, 2.0, 0.0, -1.0, 2.0]
+    g = np.eye(3, dtype=np.complex128).tolist()
+    assert analyzer._score_terms(c, g, 0.5 + 0j) == (0.0, 0j, 0j, 0.0)
+
+
 def rank3_family(count: int) -> list[ProcessSpec]:
     """Rotated deletions with random residue angles, then random coherent rank-3 specs."""
     rng = np.random.default_rng(41)
