@@ -117,7 +117,8 @@ def phase_aligned_distance(u, v) -> float:
 def _checked_tol(tol) -> float:
     """``tol`` as a float, or ValueError unless it is a real number in (0, 1):
     at one every fidelity test 1 - tol is vacuous.  Each layer's entry calls it."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+    # a float skips the numbers.Real test, whose ABC hooks run in Python
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
         raise ValueError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
