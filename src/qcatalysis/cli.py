@@ -11,8 +11,6 @@ import argparse
 import gc
 import json
 import math
-import numbers
-import operator
 import os
 import sys
 from pathlib import Path
@@ -36,6 +34,7 @@ from .states import (
     MAX_DIM,
     PureState,
     _checked_tol,
+    _index,
     _Record,
     inner,
     ket,
@@ -80,11 +79,8 @@ class RunConfig(_Record, eq=True):
     def __init__(
         self, tolerance: float = DEFAULT_TOL, format: str = "json", seed: int = 0, steps: int = 64
     ):
-        for name, value in (("seed", seed), ("steps", steps)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        seed, steps = operator.index(seed), operator.index(steps)
         try:
+            seed, steps = _index(seed, "seed"), _index(steps, "steps")
             tolerance = _checked_tol(tolerance)
         except ValueError as exc:
             raise UsageError(str(exc)) from None

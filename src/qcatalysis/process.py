@@ -205,8 +205,9 @@ class Certificate(_Record, eq=True):
     that the chord must lie in (see ``complete_psd``).
     """
 
-    def __init__(self, reason: str, pair: tuple[int, int] | None, magnitude: float):
-        self._set(reason=reason, pair=pair, magnitude=magnitude)
+    reason: str
+    pair: tuple[int, int] | None
+    magnitude: float
 
 
 class FeasibilityVerdict(_Record):

@@ -48,11 +48,13 @@ _ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2}
 
 
 def _index(value, what: str) -> int:
-    """``value`` as an int (numpy integers too), never truncated: 2.9 raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int (numpy integers too), never truncated: 2.9 and True raise."""
+    if type(value) is not bool:  # bool has no subclasses
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class DimensionMismatchError(ValueError):
@@ -138,22 +140,38 @@ def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
 
 
 class _Record:
-    """An immutable record whose fields are the parameters of its ``__init__``.
+    """An immutable record.  Its fields are the parameters of its own
+    ``__init__``, which stores them through ``_set``, or else its class
+    annotations in order, each bound once, by position or name, by ``_Record.__init__``.
 
-    ``__init__`` stores them once, through ``_set``; assigning or deleting an
-    attribute afterwards raises AttributeError.  An ``eq=True`` record
-    compares and hashes by its field tuple, any other by identity.
-    (``@dataclass`` would compile generated methods with ``exec`` on every
-    start, 0.4-0.9 ms a class.)
+    Assigning or deleting an attribute afterwards raises AttributeError.  An
+    ``eq=True`` record compares and hashes by its field tuple, any other by
+    identity.  (``@dataclass`` would compile generated methods with ``exec``
+    on every start, 0.4-0.9 ms a class.)
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, eq: bool = False):
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+        else:
+            # strings under ``from __future__ import annotations``: nothing is evaluated
+            cls._fields = tuple(cls.__annotations__)
         if eq:
             cls.__eq__, cls.__hash__ = _Record._same, _Record._hash
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if not kwargs and len(args) == len(names):
+            kwargs = dict(zip(names, args))
+        elif args or tuple(kwargs) != names:
+            fields = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or fields.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__} takes each of {names} exactly once")
+            kwargs = fields
+        self.__dict__.update(kwargs)
 
     def _set(self, **fields):
         self.__dict__.update(fields)
@@ -322,7 +340,7 @@ def apply_gate(gate: GateSpec, state: PureState) -> PureState:
 
 
 def _split_shape(state: PureState, split: int) -> tuple[int, int]:
-    if not 1 <= split < len(state.dims):
+    if not 1 <= _index(split, "split") < len(state.dims):
         raise ValueError(
             f"split {split} does not cut {len(state.dims)} subsystems into two parts"
         )

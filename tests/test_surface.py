@@ -1,10 +1,13 @@
 import ast
 import importlib.util
 import inspect
+import re
 
+import numpy as np
 import pytest
 
 import qcatalysis
+from qcatalysis.cli import RunConfig
 
 MODULES = ("analyzer", "process", "states", "teleport")
 
@@ -121,3 +124,34 @@ def test_private_helpers_stay_off_the_surface(name):
 
 def test_linalg_module_is_gone():
     assert importlib.util.find_spec("qcatalysis.linalg") is None
+
+
+_PAIR = [(qcatalysis.ket("00"), qcatalysis.ket("00"))]
+
+# every integer argument of the public API and of cli.RunConfig, as the
+# name its message gives and a call with that argument set to ``value``
+INTEGER_ARGUMENTS = [
+    ("subsystem dimension", lambda v: qcatalysis.PureState((v, 2), [1.0, 0.0])),
+    ("subsystem dimension", lambda v: qcatalysis.random_state((v,), np.random.default_rng(0))),
+    ("subsystem dimension", lambda v: qcatalysis.random_states((2, v), 1, None)),
+    ("count", lambda v: qcatalysis.random_states((2,), v, None)),
+    ("gate target", lambda v: qcatalysis.GateSpec("X", (v,))),
+    ("dim_a", lambda v: qcatalysis.ProcessSpec(v, 2, _PAIR)),
+    ("dim_b", lambda v: qcatalysis.ProcessSpec(2, v, _PAIR)),
+    ("split", lambda v: qcatalysis.schmidt_coefficients(qcatalysis.ket("01"), v)),
+    ("split", lambda v: qcatalysis.product_factorize(qcatalysis.ket("01"), v)),
+    ("steps", lambda v: qcatalysis.deletion_family_sweep(v)),
+    ("resource count", lambda v: qcatalysis.ResourceLedger(v, 0, 0)),
+    ("resource count", lambda v: qcatalysis.ResourceLedger(0, v, 0)),
+    ("resource count", lambda v: qcatalysis.ResourceLedger(0, 0, v)),
+    ("seed", lambda v: RunConfig(seed=v)),
+    ("steps", lambda v: RunConfig(steps=v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0])
+@pytest.mark.parametrize("what, call", INTEGER_ARGUMENTS)
+def test_an_integer_argument_refuses_a_bool_or_a_float(what, call, value):
+    # one rule, states._index: True is not the integer 1, nor 2.0 the integer 2
+    with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
