@@ -37,6 +37,7 @@ from .process import (
     ProcessSpec,
     _coherent,
     _realized,
+    _span_residuals,
     apply_process,
     decide_feasibility,
 )
@@ -245,15 +246,14 @@ def _stage_candidates_canonical(
     spec: ProcessSpec, span_map: np.ndarray, tol: float
 ) -> np.ndarray:
     """Coefficients of each sum a_i + a_j, then, on two qubits, of each
-    named product input lying within ``tol`` of the span."""
+    named product input lying within ``tol`` of the span (``_span_residuals``)."""
     k = np.arange(spec.n)
     i, j = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a fifth of its cost
     eye = np.eye(spec.n, dtype=np.complex128)
     rows = eye[i] + eye[j]
     if (spec.dim_a, spec.dim_b) == (2, 2):
         named = _NAMED_2X2 @ span_map.T
-        miss = _NAMED_2X2 - named @ spec.input_matrix().T
-        rows = np.vstack([rows, named[np.sqrt((miss.conj() * miss).real.sum(axis=1)) <= tol]])
+        rows = np.vstack([rows, named[_span_residuals(spec, _NAMED_2X2) <= tol]])
     return rows
 
 
@@ -662,6 +662,15 @@ def circular_pair_input() -> PureState:
     return PureState((2, 2), _CIRCULAR_PAIR)
 
 
+def _checked_steps(steps) -> int:
+    """``steps`` as an int, or ValueError unless it lies in [2, 4096]: a sweep's time
+    and report size grow linearly with its steps.  The CLI's ``RunConfig`` calls it."""
+    steps = _index(steps, "steps")
+    if not 2 <= steps <= 4096:
+        raise ValueError(f"steps must be between 2 and 4096, got {steps}")
+    return steps
+
+
 def deletion_family_sweep(
     steps: int, tol: float = DEFAULT_TOL
 ) -> list[DeletionFamilyPoint]:
@@ -669,12 +678,12 @@ def deletion_family_sweep(
 
     With the third residue fixed to |+> and the first residue angle fixed
     to zero, residues are deletion_residue(0) and deletion_residue(delta)
-    with delta = v - u covering [0, 2pi) in ``steps`` points.  Each point
-    decides feasibility and records the residue overlap (1 + e^{i delta}) / 2
-    together with the concurrence of the process output on the
-    distinguished separable input; no witness search runs.  A point whose
-    feasibility is not decided realizable has no output, and its
-    ``out_concurrence`` is None.
+    with delta = v - u covering [0, 2pi) in ``steps`` points, 2 to 4096
+    (``_checked_steps``).  Each point decides feasibility and records the
+    residue overlap (1 + e^{i delta}) / 2 together with the concurrence of
+    the process output on the distinguished separable input; no witness
+    search runs.  A point whose feasibility is not decided realizable has no
+    output, and its ``out_concurrence`` is None.
 
     The law: that concurrence equals |<r(u)|r(v)>| for any residue angles.
     The input is |i>|i> = ((1-i)/2)|00> - ((1+i)/2)|11> + i|++>, so with
@@ -682,8 +691,7 @@ def deletion_family_sweep(
     matrix has determinant i(w_0 + w_1)/4, and C = 2|det| =
     |1 + e^{i(v-u)}|/2 = |<r(u)|r(v)>|: zero exactly at orthogonal residues.
     """
-    if _index(steps, "steps") < 2:
-        raise ValueError("sweep needs at least 2 steps")
+    steps = _checked_steps(steps)
     points = []
     probe = circular_pair_input()
     for k in range(steps):

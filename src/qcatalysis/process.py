@@ -162,6 +162,13 @@ class ProcessSpec(_Record):
         return self._span[1]
 
 
+def _span_residuals(spec: ProcessSpec, vectors: np.ndarray) -> np.ndarray:
+    """Distance of each vector (last axis) to the inputs' span: the norm of its part on the
+    complement, ``span_basis`` past ``rank``, eps-sized in rounding unlike |v - A A^+ v|."""
+    w = vectors @ spec.span_basis[:, spec.rank :].conj()
+    return np.sqrt((w.conj() * w).real.sum(axis=-1))  # np.linalg.norm's formula, no dispatch
+
+
 class EnvironmentGram(_Record):
     """Partially determined matrix of required environment overlaps.
 
@@ -233,6 +240,11 @@ class FeasibilityVerdict(_Record):
         return self.status == REALIZABLE
 
 
+def _infeasible(reason: str, pair: tuple[int, int] | None, magnitude: float) -> FeasibilityVerdict:
+    """Infeasible, certified by ``reason`` on ``pair`` at ``magnitude``; the only builder."""
+    return FeasibilityVerdict(INFEASIBLE, certificate=Certificate(reason, pair, magnitude))
+
+
 class DensityMatrix(_Record):
     """Hermitian, trace-one, positive semidefinite matrix."""
 
@@ -282,20 +294,14 @@ def environment_gram(
                 ratio = gi / go
                 mag = abs(ratio)
                 if mag > 1.0 + tol:
-                    return FeasibilityVerdict(
-                        INFEASIBLE,
-                        certificate=Certificate(REASON_MODULUS, (i, j), mag),
-                    )
+                    return _infeasible(REASON_MODULUS, (i, j), mag)
                 if mag > 1.0:
                     ratio = ratio / mag
                 values[i, j] = ratio
                 values[j, i] = ratio.conjugate()
                 known[i, j] = known[j, i] = True
             elif abs(gi) > tol:
-                return FeasibilityVerdict(
-                    INFEASIBLE,
-                    certificate=Certificate(REASON_OUTPUT_NULL, (i, j), abs(gi)),
-                )
+                return _infeasible(REASON_OUTPUT_NULL, (i, j), abs(gi))
     # Hermitian with a unit diagonal and moduli at most one, as built
     values.setflags(write=False)
     known.setflags(write=False)
@@ -378,12 +384,6 @@ def _cycle_chord(g: np.ndarray, free, tol: float) -> tuple[complex | None, float
     return c1 + r1 * (c2 - c1) / dist, gap
 
 
-def _psd_violation(worst: float) -> FeasibilityVerdict:
-    """Infeasible with a psd_violation of magnitude -worst, ``worst`` being the
-    smallest eigenvalue over fully determined blocks and below -tol."""
-    return FeasibilityVerdict(INFEASIBLE, certificate=Certificate(REASON_PSD, None, -worst))
-
-
 def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     """Decide exactly whether the determined overlaps complete to a PSD matrix.
 
@@ -432,9 +432,7 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
             free = eg.free_pairs()
             z, gap = _cycle_chord(g, free, tol)
             if z is None:
-                return FeasibilityVerdict(
-                    INFEASIBLE, certificate=Certificate(REASON_CYCLE, free[0], gap)
-                )
+                return _infeasible(REASON_CYCLE, free[0], gap)
             (u, v), _ = free
             g[u, v] = z
             g[v, u] = np.conj(z)
@@ -446,14 +444,14 @@ def complete_psd(eg: EnvironmentGram, tol: float = DEFAULT_TOL) -> FeasibilityVe
             i, j, k = t.T
             t = t[known[i, j] & known[i, k] & known[j, k]]
             worst = float(np.linalg.eigvalsh(g[t[:, :, None], t[:, None, :]])[:, 0].min(initial=1.0))
-            return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
+            return _infeasible(REASON_PSD, None, -worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
         _chordal_fill(g, known, [c[0] for c in walk], tol)
     if float(np.linalg.eigvalsh(g)[0]) >= -tol:
         g.setflags(write=False)  # a fresh array, which the verdict owns
         return _own(FeasibilityVerdict, status=REALIZABLE, completed_gram=g, certificate=None)
     # the fill leaves the determined entries as they were
     worst = min((float(np.linalg.eigvalsh(g[np.ix_(c, c)])[0]) for c in cliques), default=1.0)
-    return _psd_violation(worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
+    return _infeasible(REASON_PSD, None, -worst) if worst < -tol else FeasibilityVerdict(UNDETERMINED)
 
 
 def decide_feasibility(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
@@ -553,11 +551,10 @@ def _expand_input(spec: ProcessSpec, state: PureState, tol: float) -> np.ndarray
             f"input dims {state.dims} do not match the process "
             f"({spec.dim_a}, {spec.dim_b})"
         )
-    coeff = spec.span_map @ state.vector
-    residual = float(np.linalg.norm(state.vector - spec.input_matrix() @ coeff))
+    residual = float(_span_residuals(spec, state.vector))
     if residual > tol:
         raise OutsideSpanError(residual)
-    return coeff
+    return spec.span_map @ state.vector
 
 
 def apply_process(
@@ -573,9 +570,10 @@ def apply_process(
     to sum_i c_i b_i, with c = A^+ v from the spec's ``span_map``, which sits
     on the kept inputs of a dependent family; the coherent outputs obey the
     inputs' linear relations, so any expansion gives the same image.  ``tol``
-    bounds the residual |v - A c| (OutsideSpanError), never the span, and an
-    image of norm at most ``tol`` has no output state (ValueError).  The
-    verdict must pass ``_realized`` as coherent.
+    bounds the distance of v to the span, the norm of its component on the
+    span's complement (``_span_residuals``; OutsideSpanError), never the
+    span, and an image of norm at most ``tol`` has no output state
+    (ValueError).  The verdict must pass ``_realized`` as coherent.
     """
     _realized(spec, verdict, tol, "apply_process", coherent=True)
     coeff = _expand_input(spec, state, tol)

@@ -409,6 +409,18 @@ class TestDeletionFamilySweep:
         with pytest.raises(ValueError):
             deletion_family_sweep(1)
 
+    @pytest.mark.parametrize("steps", [1, 4097])
+    def test_the_library_holds_the_step_bound_the_cli_reports(self, steps):
+        # one check: RunConfig turns the library's ValueError into a usage error
+        from qcatalysis.cli import RunConfig, UsageError
+
+        message = rf"^steps must be between 2 and 4096, got {steps}$"
+        with pytest.raises(ValueError, match=message) as exc:
+            deletion_family_sweep(steps)
+        assert type(exc.value) is ValueError
+        with pytest.raises(UsageError, match=message):
+            RunConfig(steps=steps)
+
     def test_residues_satisfy_reversibility(self):
         for angle in np.linspace(0.0, 2.0 * math.pi, 37):
             r = deletion_residue(angle)

@@ -205,3 +205,36 @@ def test_embedding_b_changes_no_answer(dim_b):
     specs += [controlled_unitary_spec(seed) for seed in range(20)]
     specs += [rotated_deletion_spec(seed) for seed in range(20)]
     assert_relation_holds([(spec, embedded(spec, dim_b)) for spec in specs])
+
+
+def unitary_images(eps: float) -> list[tuple[ProcessSpec, ProcessSpec]]:
+    """(a_i -> a_i, a_i -> U a_i) for a = |00>, |01>, |10>, (|00> + eps v)/norm,
+    with v complex Gaussian and U a Haar unitary drawn in that order from
+    default_rng(seed), seeds 0-199."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u = random_unitary(rng, 4)
+        inputs = np.eye(4, dtype=np.complex128)
+        inputs[:, 3] = inputs[:, 0] + eps * v
+        cases.append((coherent_spec(inputs, np.eye(4)), coherent_spec(inputs, u)))
+    return cases
+
+
+def test_a_unitary_image_changes_no_answer():
+    """(f) b_i = a_i -> U a_i.  Both specs are realizable and coherent by
+    construction; the identity's input and output Grams agree exactly, and
+    at eps = 1e-5 all 200 images read so too."""
+    assert_relation_holds(unitary_images(1e-5))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+def test_a_unitary_image_of_nearly_parallel_inputs_changes_no_answer():
+    """(f) at eps = 1e-7.  Of the 200 images 45 are decided infeasible, with
+    a modulus_violation of 1 + 1.0e-9 to 1 + 6.4e-9, and 81 more realizable
+    but not coherent, although G_in and G_out agree to 8.9e-16.  The forced
+    ratio of two overlaps near eps carries rounding near eps_mach / |g_out|,
+    about 1e-9, which the modulus and coherence tests read as exact.  Item 6
+    mends it."""
+    assert_relation_holds(unitary_images(1e-7))

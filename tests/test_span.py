@@ -17,6 +17,7 @@ from helpers import (
     random_realizable_spec,
     random_unitary,
 )
+import qcatalysis.analyzer as analyzer
 from qcatalysis import (
     INFEASIBLE,
     ProcessSpec,
@@ -32,7 +33,9 @@ from qcatalysis import (
     find_entangling_witness,
     ket,
     ket_plus,
+    output_density,
     phase_aligned_distance,
+    random_states,
 )
 from test_witness_search import RANK3_FAMILY, coherent_spec, rotated_deletion_spec
 
@@ -143,3 +146,32 @@ def test_permuted_pairs_keep_the_answer():
         assert got[0][1].concurrence_out == pytest.approx(got[1][1].concurrence_out, abs=1e-9)
         seen.add(got[0][0])
     assert seen == {"not_catalysis", "quantum_catalysis"}
+
+
+def test_span_membership_does_not_depend_on_conditioning():
+    """Four seeded unit inputs of C^3 span all of it, so the identity on them
+    takes every vector, here a fifth seeded one, at tol 1e-15.  Membership
+    reads the component on the span's complement, empty for a full span;
+    the residual |v - A A^+ v| carried A^+'s rounding and refused 23 of
+    these 200 vectors."""
+    for seed in range(200):
+        rows = random_states((1, 3), 5, np.random.default_rng(seed))
+        spec = ProcessSpec(1, 3, tuple((PureState((1, 3), a), PureState((1, 3), a)) for a in rows[:4]))
+        verdict = decide_feasibility(spec, 1e-15)
+        state = PureState((1, 3), rows[4])
+        out = apply_process(spec, verdict, state, 1e-15).vector
+        assert abs(np.vdot(out, state.vector)) ** 2 >= 1.0 - 1e-12
+        rho = output_density(spec, verdict, state, 1e-15)
+        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho.matrix - np.outer(out, out.conj()))) <= 1e-12
+
+
+def test_named_products_of_a_full_span_are_canonical_candidates():
+    # controlled_unitary_spec's four inputs span both qubits, so |+>|0> and
+    # |i>|i> join the six pairwise sums at any tolerance; |v - A A^+ v|
+    # dropped 79 of these 80 at tol 1e-16
+    for seed in range(40):
+        spec = controlled_unitary_spec(seed)
+        rows = analyzer._stage_candidates_canonical(spec, spec.span_map, 1e-16)
+        assert rows.shape == (8, 4)
+        assert np.max(np.abs(rows[6:] @ spec.input_matrix().T - analyzer._NAMED_2X2)) <= 1e-12
